@@ -226,6 +226,8 @@ fn main() {
     json.push_str(&format!("  \"iters\": {iters},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str(&format!("  \"measured_parallel\": {measured_parallel},\n"));
+    json.push_str(&format!("  \"commit\": \"{}\",\n", host::commit()));
+    json.push_str(&format!("  \"rustc\": \"{}\",\n", host::rustc()));
     json.push_str("  \"pool\": \"Pool<VecSegment<u64>, LinearSearch, T>\",\n");
     json.push_str("  \"results\": {\n");
     for (i, (name, ns)) in results.iter().enumerate() {

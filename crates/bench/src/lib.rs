@@ -946,6 +946,30 @@ pub mod host {
         std::thread::available_parallelism().map_or(0, |n| n.get())
     }
 
+    /// `rustc --version` of the toolchain on the `PATH` (the one `cargo
+    /// run` built the bench binaries with), or `unknown`.
+    pub fn rustc() -> String {
+        command_output("rustc", &["--version"])
+    }
+
+    /// The commit of the working directory's git tree, suffixed `-dirty`
+    /// when uncommitted changes were measured; `unknown` outside a git
+    /// work tree.
+    pub fn commit() -> String {
+        command_output("git", &["describe", "--always", "--dirty", "--abbrev=40"])
+    }
+
+    /// The trimmed standard output of a successful command, or `unknown`.
+    fn command_output(program: &str, args: &[&str]) -> String {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    }
+
     /// Measures whether two threads actually run in parallel: times the
     /// spin workload solo, then two copies concurrently. On a parallel
     /// host the duo's wall clock stays near the solo time; on a

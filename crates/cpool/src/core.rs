@@ -23,11 +23,12 @@
 //!    lock/charge discipline of [`timing`](crate::timing)). The engine is
 //!    *generic* over the cost model (`&T` where `T: Timing`, never a trait
 //!    object), so an uninstrumented pool ([`NullTiming`](crate::NullTiming))
-//!    monomorphizes to bare lock/steal code with every charge inlined away,
-//!    while runtime-selected models ride the
+//!    monomorphizes to bare lock/steal code with every charge and clock
+//!    read inlined away, while runtime-selected models ride the
 //!    [`DynTiming`](crate::timing::DynTiming) adapter through the same code.
-//! 5. **Per-process statistics** — operation outcomes and latencies are
-//!    recorded into a private [`ProcStats`] block ([`OpTimer`]).
+//! 5. **Per-process statistics** — operation outcomes, and latencies on a
+//!    cost model with a clock, are recorded into a private [`ProcStats`]
+//!    block ([`OpTimer`]).
 //!
 //! Keeping all five in one module means later optimisation passes
 //! (lock-narrowing, sharding, async frontends, blocking removes) have
@@ -228,9 +229,11 @@ impl<'a, T: Timing> OpTimer<'a, T> {
         stats.remove_hist.record(dt);
     }
 
-    // Magazine-cache hits are recorded clock-free through
-    // `ProcStats::record_cached_add`/`record_cached_remove` — no OpTimer:
-    // reading the clock would cost more than the cached op it prices.
+    // Magazine-cache hits are recorded through
+    // `ProcStats::record_cached_add`/`record_cached_remove`, with no
+    // OpTimer: on a cost model with a clock (Sim or Real timing) its two
+    // reads would cost more than the cached op they price. `NullTiming`
+    // has no clock, so there the timer is free either way.
 
     /// Completes a remove served by raiding a full magazine out of the
     /// shared depot — a pool-visible source, so it is *not* a magazine
@@ -571,6 +574,16 @@ impl<'a> WaitCtl<'a> {
         std::mem::take(&mut self.pending)
     }
 
+    /// Withdraws the waker registration a poll-mode pass left armed (if
+    /// any) and clears `pending`: a poll that resolves must hold no
+    /// registration. No-op for blocking controllers.
+    fn withdraw(&mut self) {
+        self.pending = false;
+        if let Some(ticket) = self.poll.as_mut().and_then(|poll| poll.slot.take()) {
+            self.notifier.cancel_waker(ticket);
+        }
+    }
+
     /// Resets the per-search lap counter before a retry search (the budget,
     /// backoff round, and deadline deliberately carry over).
     pub fn begin_pass(&mut self) {
@@ -664,22 +677,17 @@ impl<'a> WaitCtl<'a> {
             // drains our waker (waking the task to poll again) or lost the
             // race to this re-check (see `Notifier::register_waker` for
             // the three-case ordering argument).
-            let ticket = self.notifier.register_waker(poll.waker);
-            *poll.slot = Some(ticket);
-            let withdraw = |notifier: &Notifier, slot: &mut Option<u64>| {
-                notifier.cancel_waker(ticket);
-                *slot = None;
-            };
+            *poll.slot = Some(self.notifier.register_waker(poll.waker));
             if self.notifier.is_closed() || session.gate_abort_now() || woken() {
                 // Terminal for this pass: let the owning remove map it
                 // (close / §3.2 / frontend delivery).
-                withdraw(self.notifier, poll.slot);
+                self.withdraw();
                 return true;
             }
             if has_work() {
                 // Fresh work somewhere: resolve this poll with another
                 // local-first pass instead of going pending.
-                withdraw(self.notifier, poll.slot);
+                self.withdraw();
                 self.boundary_abort = true;
                 return true;
             }
@@ -806,33 +814,37 @@ pub(crate) fn drive_poll_remove<T>(
     drained: impl Fn() -> bool,
     closed: impl Fn() -> bool,
 ) -> Poll<Result<T, RemoveError>> {
-    loop {
+    let out = loop {
         match try_once(ctl) {
-            Ok(item) => return Poll::Ready(Ok(item)),
-            Err(RemoveError::Closed) => return Poll::Ready(Err(RemoveError::Closed)),
+            Ok(item) => break Ok(item),
+            Err(RemoveError::Closed) => break Err(RemoveError::Closed),
             Err(_) => {
                 if ctl.take_pending() {
                     return Poll::Pending;
                 }
                 if ctl.timed_out {
-                    return Poll::Ready(Err(RemoveError::Timeout));
+                    break Err(RemoveError::Timeout);
                 }
                 if ctl.budget_spent {
-                    return Poll::Ready(Err(RemoveError::Aborted));
+                    break Err(RemoveError::Aborted);
                 }
                 if ctl.take_boundary_abort() {
                     continue;
                 }
                 if drained() {
-                    let err = if closed() { RemoveError::Closed } else { RemoveError::Aborted };
-                    return Poll::Ready(Err(err));
+                    break Err(if closed() { RemoveError::Closed } else { RemoveError::Aborted });
                 }
                 if ctl.on_transient_abort() {
-                    return Poll::Ready(Err(RemoveError::Aborted));
+                    break Err(RemoveError::Aborted);
                 }
             }
         }
-    }
+    };
+    // A pass can arm its waker and still resolve: a `close()` that lands
+    // after the pass's post-registration re-check makes the frontend map
+    // the abort to `Closed` past the armed ticket.
+    ctl.withdraw();
+    Poll::Ready(out)
 }
 
 #[cfg(test)]
@@ -931,6 +943,40 @@ mod tests {
         assert_eq!(session.examined(), 1);
         drop(session);
         gate.deregister();
+    }
+
+    /// A poll-mode pass arms its waker, then `close()` lands after the
+    /// pass's re-check and the frontend maps the abort to `Closed`: the
+    /// driver must withdraw the armed ticket before it resolves.
+    #[test]
+    fn poll_driver_withdraws_a_ticket_armed_before_close() {
+        let timing = NullTiming::new();
+        let gate = SearchGate::new();
+        let notifier = gate.notifier();
+        let mut slot = None;
+        let mut ctl = WaitCtl::new_poll(notifier, None, Waker::noop(), &mut slot);
+        let out: Poll<Result<(), RemoveError>> = drive_poll_remove(
+            &mut ctl,
+            |ctl| {
+                // A lap of zero victims: the first abort check is already a
+                // fruitless lap boundary, which arms the waker.
+                let session = SearchSession::begin_detached(
+                    &timing,
+                    &gate,
+                    ProcId::new(0),
+                    SegIdx::new(0),
+                    0,
+                );
+                assert!(ctl.on_probe(&session, || false, || false));
+                notifier.close();
+                Err(RemoveError::Closed)
+            },
+            || true,
+            || notifier.is_closed(),
+        );
+        assert_eq!(out, Poll::Ready(Err(RemoveError::Closed)));
+        assert_eq!(slot, None, "a resolved poll holds no registration");
+        assert_eq!(notifier.waiters(), 0);
     }
 
     #[test]

@@ -765,18 +765,22 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
             return;
         }
         let mut deferred: Vec<(K, Arc<HotBucket<V>>, V)> = Vec::new();
-        let mut landed = 0;
         {
             let mut buckets = self.buckets.lock();
+            let mut landed = 0;
             for (key, value) in pairs {
                 match buckets.route_add(key, value) {
                     Ok(()) => landed += 1,
                     Err(routed) => deferred.push(routed),
                 }
             }
-        }
-        if landed > 0 {
-            self.len.fetch_add(landed, Ordering::AcqRel);
+            // Count the landed pairs before the lock is released: a remover
+            // that takes one first would otherwise wrap `len` below zero,
+            // and blocked removers would spin their lap budget away on the
+            // phantom occupancy.
+            if landed > 0 {
+                self.len.fetch_add(landed, Ordering::AcqRel);
+            }
         }
         for (key, hot, value) in deferred {
             let at = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
@@ -1747,7 +1751,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         let shared = Arc::clone(&self.shared);
         let mut key = key;
         let mut value = value;
-        // Magazine fast path, clock-free and before the timer starts: cache
+        // Magazine fast path, untimed and before the timer starts: cache
         // the pair handle-locally (zero shared RMWs) unless consumers are
         // parked — then flush instead, so no element is stranded invisible
         // while a remover sleeps. Cached adds skip hot-key sampling (a
@@ -1835,8 +1839,9 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         // on a dry cache) before touching any segment.
         if let (Some(depot), Some(mag)) = (&self.shared.depot, &self.magazine) {
             match mag.borrow_mut().pop(depot) {
-                // Clock-free, like the cached add: a wall-clock read would
-                // cost more than the thread-local pop it prices.
+                // Untimed, like the cached add: on a cost model with a
+                // clock (Sim or Real timing) a read would cost more than
+                // the thread-local pop it prices.
                 PopOutcome::Hit(pair) => {
                     self.stats.record_cached_remove();
                     return Ok(pair);

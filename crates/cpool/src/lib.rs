@@ -36,7 +36,8 @@
 //! a deterministic virtual-time scheduler (see the `numa-sim` crate). The
 //! cost model is a *type parameter* of every pool (`Pool<S, P, T: Timing>`,
 //! default [`NullTiming`]): an uninstrumented pool compiles to bare
-//! lock/steal code, while runtime-selected models use the
+//! lock/steal code that counts operations but reads no clock, while
+//! runtime-selected models use the
 //! [`timing::DynTiming`] (`Arc<dyn Timing>`) adapter — see
 //! [`timing`] for how to choose.
 //!

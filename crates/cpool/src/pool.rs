@@ -525,7 +525,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
 /// A concurrent pool: a distributed, unordered collection of items.
 ///
 /// The third type parameter is the statically-dispatched cost model; the
-/// default [`NullTiming`] compiles every charge away (see
+/// default [`NullTiming`] compiles every charge and clock read away (see
 /// [`timing`](crate::timing)). Cloning a `Pool` is cheap (it is an `Arc`
 /// handle to shared state); all clones refer to the same pool. See the
 /// [crate docs](crate) for an end-to-end example.
@@ -742,7 +742,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         &self.stats
     }
 
-    /// Current time for this process, per the pool's clock.
+    /// Current time for this process, per the pool's clock: virtual time
+    /// under `SimTiming`, wall-clock nanoseconds under `RealTiming`, and
+    /// always 0 under the default [`NullTiming`], which has no clock.
     pub fn now(&self) -> u64 {
         self.shared.timing.now(self.me)
     }
@@ -809,8 +811,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     pub fn add(&mut self, item: S::Item) {
         let mut item = item;
         // Magazine fast path, before the timer even starts: a cached add is
-        // a handful of thread-local instructions, and the timer's two clock
-        // reads would dominate it (see `ProcStats::record_cached_add`).
+        // a handful of thread-local instructions, and on a cost model with
+        // a clock (Sim or Real timing) the timer's two reads would dominate
+        // it (see `ProcStats::record_cached_add`).
         // Hint donation is skipped for cached adds — hint waiters are
         // *searching* (not parked) processes, and a fruitless search aborts
         // rather than blocks; parked/async waiters are what the check below
@@ -913,9 +916,10 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         if let (Some(depot), Some(mag)) = (&self.shared.depot, &self.magazine) {
             let outcome = mag.borrow_mut().pop(depot);
             match outcome {
-                // Clock-free like the cached add: the configured per-op
+                // Untimed like the cached add: the configured per-op
                 // computation is still charged to simulated cost models,
-                // but no wall-clock reads price the thread-local pop.
+                // but no clock reads (which Sim and Real timing would pay)
+                // price the thread-local pop.
                 PopOutcome::Hit(item) => {
                     if overhead_ns > 0 {
                         self.shared.timing.charge_work(self.me, overhead_ns);

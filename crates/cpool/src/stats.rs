@@ -122,8 +122,13 @@ impl Histogram {
 
 /// Per-process operation statistics.
 ///
-/// All time fields are in nanoseconds of whatever clock the pool's
-/// [`Timing`](crate::timing::Timing) provides (wall-clock or virtual).
+/// All time fields (`add_ns`, `remove_ns`, `steal_ns`, `abort_ns` and the
+/// histogram values) are in nanoseconds of whatever clock the pool's
+/// [`Timing`](crate::timing::Timing) provides: virtual under `SimTiming`,
+/// wall-clock under `RealTiming`. The default
+/// [`NullTiming`](crate::timing::NullTiming) counts operations but does not
+/// time them, so there every counter and histogram count is exact and
+/// every time field is 0.
 #[derive(Clone, Debug, Default)]
 pub struct ProcStats {
     /// Completed add operations.
@@ -218,9 +223,9 @@ impl ProcStats {
     /// Records an add absorbed by the handle-local magazine cache.
     ///
     /// Cached operations are deliberately *not* clocked: the op is a
-    /// handful of thread-local instructions, and reading the wall clock to
-    /// price it costs more than the op itself (two `Timing::now` calls
-    /// dominated the fast path before this). They count in `adds` and
+    /// handful of thread-local instructions, and on a cost model with a
+    /// clock (Sim or Real timing) the two `Timing::now` calls that would
+    /// price it cost more than the op itself. They count in `adds` and
     /// `magazine_hits`, and enter the latency histogram as 0 ns — so
     /// `avg_add_ns` honestly reflects that cached ops are ~free while the
     /// histogram's upper buckets still price the shared-path ops.

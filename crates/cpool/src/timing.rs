@@ -8,21 +8,21 @@
 //!
 //! This module abstracts that cost model behind the [`Timing`] trait: the
 //! pool reports every chargeable access as a [`Resource`] touch, and the
-//! trait implementation decides what the touch costs — nothing
-//! ([`NullTiming`]), a real spin delay (`numa_sim::RealTiming`), or an
-//! advance of a deterministic virtual clock (`numa_sim::SimTiming`).
+//! trait implementation decides what the touch costs — nothing and no clock
+//! ([`NullTiming`]), a spin delay on the wall clock (`numa_sim::RealTiming`),
+//! or an advance of a deterministic virtual clock (`numa_sim::SimTiming`).
 //!
 //! # Static vs dynamic dispatch
 //!
 //! The pool frontends are *generic* over their cost model
 //! (`Pool<S, P, T: Timing>`), so the model is chosen at the type level:
 //! a `Pool<_, _, NullTiming>` monomorphizes to bare lock/steal code with
-//! every `charge` call inlined away, paying nothing for the instrumentation
-//! machinery. When the model must be picked at *runtime* (an experiment
-//! harness switching engines from a spec), use the [`DynTiming`] adapter:
-//! smart pointers to a `Timing` — including `Arc<dyn Timing>` — implement
-//! `Timing` themselves, so a dyn-dispatched model threads through the same
-//! generic hot path at the cost of one pointer indirection per charge.
+//! every `charge` call and clock read inlined away. When the model must be
+//! picked at *runtime* (an experiment harness switching engines from a
+//! spec), use the [`DynTiming`] adapter: smart pointers to a `Timing` —
+//! including `Arc<dyn Timing>` — implement `Timing` themselves, so a
+//! dyn-dispatched model threads through the same generic hot path at the
+//! cost of one pointer indirection per charge.
 //!
 //! # Lock/charge discipline
 //!
@@ -32,7 +32,6 @@
 //! always happen immediately *before* the lock acquisition they pay for.
 
 use std::fmt;
-use std::time::Instant;
 
 use crate::ids::{ProcId, SegIdx};
 
@@ -154,10 +153,15 @@ impl<T: Timing + ?Sized> Timing for &T {
     }
 }
 
-/// A [`Timing`] that charges nothing: raw machine speed.
+/// A [`Timing`] that charges nothing and has no clock: raw machine speed.
 ///
-/// `now` still reports real elapsed nanoseconds since the value was created
-/// so operation latencies can be measured.
+/// The default cost model counts operations but does not time them: `now`
+/// is always 0, so counters and histogram counts stay exact while every
+/// time field (`ProcStats::add_ns`, `remove_ns`, `steal_ns`, `abort_ns`,
+/// histogram values, trace timestamps) is 0 — a clock read would cost more
+/// than an uncontended operation. For latencies use `numa_sim::SimTiming`
+/// (virtual time) or `numa_sim::RealTiming::new(LatencyModel::uniform(0),
+/// topology)` (wall clock, no injected delay).
 ///
 /// ```
 /// use cpool::{NullTiming, Timing, ProcId, Resource, SegIdx};
@@ -166,22 +170,15 @@ impl<T: Timing + ?Sized> Timing for &T {
 /// let a = t.now(ProcId::new(0));
 /// let b = t.now(ProcId::new(0));
 /// assert!(b >= a);
+/// assert_eq!((a, b), (0, 0)); // no clock
 /// ```
-#[derive(Clone, Debug)]
-pub struct NullTiming {
-    origin: Instant,
-}
+#[derive(Clone, Debug, Default)]
+pub struct NullTiming;
 
 impl NullTiming {
-    /// Creates a new zero-cost timing source.
+    /// Creates the zero-cost, clock-free cost model.
     pub fn new() -> Self {
-        NullTiming { origin: Instant::now() }
-    }
-}
-
-impl Default for NullTiming {
-    fn default() -> Self {
-        Self::new()
+        NullTiming
     }
 }
 
@@ -189,7 +186,7 @@ impl Timing for NullTiming {
     fn charge(&self, _proc: ProcId, _resource: Resource) {}
 
     fn now(&self, _proc: ProcId) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
+        0
     }
 }
 
@@ -205,8 +202,33 @@ mod tests {
         for _ in 0..100 {
             let now = t.now(p);
             assert!(now >= last);
+            assert_eq!(now, 0, "NullTiming has no clock");
             last = now;
         }
+    }
+
+    /// The default cost model records every exit path of the engine
+    /// exactly (counters, one histogram sample per op) but times none.
+    #[test]
+    fn default_pool_counts_operations_but_does_not_time_them() {
+        use crate::{LinearSearch, Pool, PoolBuilder, PoolOps, RemoveError, VecSegment};
+
+        let pool: Pool<VecSegment<u64>, LinearSearch> = PoolBuilder::new(2).build();
+        let (mut a, mut b) = (pool.register(), pool.register()); // homes 0 and 1
+        a.add(1);
+        assert_eq!(a.try_remove(), Ok(1), "local remove");
+        a.add(2);
+        assert_eq!(b.try_remove(), Ok(2), "steal from segment 0");
+        a.add_batch([3, 4, 5]);
+        assert_eq!(a.try_remove_batch(3).len(), 3, "local batch remove");
+        drop(a);
+        // The lone registered process laps an empty pool and aborts.
+        assert_eq!(b.try_remove(), Err(RemoveError::Aborted));
+        drop(b);
+        let s = pool.stats().merged();
+        assert_eq!((s.adds, s.removes, s.steals, s.aborted_removes), (5, 5, 1, 1));
+        assert_eq!((s.add_hist.count(), s.remove_hist.count()), (3, 3));
+        assert_eq!((s.add_ns, s.remove_ns, s.steal_ns, s.abort_ns), (0, 0, 0, 0));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use cpool::segment::{AtomicCounter, LockedCounter};
 use cpool::{DynPolicy, DynTiming, Pool, PoolBuilder, Segment};
-use numa_sim::{RealTiming, SimScheduler, Topology};
+use numa_sim::{LatencyModel, RealTiming, SimScheduler, Topology};
 use workload::{Op, OpBudget};
 
 use crate::metrics::{ExperimentResult, TrialMetrics};
@@ -55,8 +55,12 @@ fn run_trial_on<S: Segment<Item = ()>>(spec: &ExperimentSpec, trial: u32) -> Tri
             let scheduler = SimScheduler::new(spec.procs, model, topology);
             (Arc::new(scheduler.timing()), Some(scheduler))
         }
-        Engine::Threaded(Some(model)) => (Arc::new(RealTiming::new(model, topology)), None),
-        Engine::Threaded(None) => (Arc::new(cpool::NullTiming::new()), None),
+        // Raw threads still need a clock for the latency columns: the
+        // wall clock with no injected delay (`NullTiming` has no clock).
+        Engine::Threaded(model) => {
+            let model = model.unwrap_or(LatencyModel::uniform(0));
+            (Arc::new(RealTiming::new(model, topology)), None)
+        }
     };
 
     // The builder constructs the runtime-selected policy for `spec.procs`
@@ -211,8 +215,11 @@ mod tests {
         let mut spec =
             quick_spec(PolicyKind::Random, Workload::RandomMix { mix: JobMix::from_percent(60) });
         spec.engine = Engine::Threaded(None);
-        let t = run_single_trial(&spec, 0);
-        assert_eq!(t.merged.ops(), 400);
+        let result = run_experiment(&spec);
+        assert!(result.trials.iter().all(|t| t.merged.ops() == 400));
+        // Raw threads keep wall-clock latencies.
+        let avg_op_us = result.summary.avg_op_us;
+        assert!(avg_op_us.is_defined() && avg_op_us.mean > 0.0, "{avg_op_us:?}");
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub enum Engine {
     /// Deterministic virtual-time simulation under the given latency model.
     Sim(LatencyModel),
     /// Real threads; `Some(model)` spin-injects the modelled access costs
-    /// (the paper's delay method), `None` runs at raw machine speed.
+    /// (the paper's delay method), `None` runs at raw machine speed. Both
+    /// time operations on the wall clock.
     Threaded(Option<LatencyModel>),
 }
 
