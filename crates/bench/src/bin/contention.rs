@@ -30,9 +30,9 @@
 //! at the paper's per-processor shape) and `churn/<seg>/steal_half` (a
 //! thief racing a producer on one segment — ns per steal cycle).
 //!
-//! The JSON header records `host_cpus` and `measured_parallel` (see
-//! [`bench::host`]): on a single-CPU host the multi-threaded cells measure
-//! time-sliced interleaving, and a stderr banner says so.
+//! The JSON header records `host_cpus`, `measured_parallel`, `commit` and
+//! `rustc` (see [`bench::host`]): on a single-CPU host the multi-threaded
+//! cells measure time-sliced interleaving, and a stderr banner says so.
 
 use bench::contention::{
     bag_round, best_of, pool_round_block, pool_round_lane, pool_round_lane_k, pool_round_lf,
@@ -141,6 +141,8 @@ fn main() {
     json.push_str(&format!("  \"repeat\": {repeat},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str(&format!("  \"measured_parallel\": {measured_parallel},\n"));
+    json.push_str(&format!("  \"commit\": \"{}\",\n", host::commit()));
+    json.push_str(&format!("  \"rustc\": \"{}\",\n", host::rustc()));
     json.push_str("  \"results\": {\n");
     for (i, (name, ns)) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };

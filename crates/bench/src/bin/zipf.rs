@@ -24,9 +24,10 @@
 //! All four dist × hotkey variants are *interleaved* within each
 //! (threads, segments) cell — round-robin across the repeat floors — so
 //! the acceptance comparison (`zipf11/on` vs `zipf11/off`) samples the
-//! same slice of host time. The JSON header records `host_cpus` and
-//! `measured_parallel` (see [`bench::host`]): on a single-CPU host the
-//! multi-threaded cells measure time-sliced interleaving.
+//! same slice of host time. The JSON header records `host_cpus`,
+//! `measured_parallel`, `commit` and `rustc` (see [`bench::host`]): on a
+//! single-CPU host the multi-threaded cells measure time-sliced
+//! interleaving.
 
 use bench::host;
 use bench::keyed::{keyed_round, KEY_SPACE};
@@ -135,6 +136,8 @@ fn main() {
     json.push_str(&format!("  \"repeat\": {repeat},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str(&format!("  \"measured_parallel\": {measured_parallel},\n"));
+    json.push_str(&format!("  \"commit\": \"{}\",\n", host::commit()));
+    json.push_str(&format!("  \"rustc\": \"{}\",\n", host::rustc()));
     json.push_str("  \"results\": {\n");
     for (i, (name, ns)) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };

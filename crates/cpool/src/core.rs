@@ -49,6 +49,40 @@ use crate::stats::{PoolStats, ProcStats};
 use crate::timing::{Resource, Timing};
 use crate::transfer::TransferBatch;
 
+/// Bytes of padding after each segment in a pool's segment array.
+const SLOT_PAD: usize = 128;
+
+/// One segment of a pool's segment array, followed by [`SLOT_PAD`] bytes.
+///
+/// Both frontends keep their segments in a `Box<[Slot<_>]>`, so at least
+/// 128 bytes separate one segment's last byte from the next segment's
+/// first. Processes working in neighbouring segments then never write the
+/// same cache line, nor the same 128-byte line pair that x86 adjacent-line
+/// prefetchers fetch together: a local operation touches only lines its
+/// own process writes (Kotz & Ellis's case for the pool is exactly that
+/// local operations avoid interfering with other processes). The slot is
+/// padded by size, not by `#[repr(align(128))]`, so the array stays a
+/// normally aligned allocation; an over-aligned one made pool set-up
+/// measurably slower.
+pub(crate) struct Slot<T> {
+    value: T,
+    _pad: [u8; SLOT_PAD],
+}
+
+impl<T> Slot<T> {
+    pub fn new(value: T) -> Self {
+        Slot { value, _pad: [0; SLOT_PAD] }
+    }
+}
+
+impl<T> std::ops::Deref for Slot<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
 /// Process registration and statistics collection, shared by all pool
 /// frontends.
 ///

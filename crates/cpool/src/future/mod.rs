@@ -154,7 +154,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Future for RemoveFuture<S, P, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = Pin::into_inner(self);
         assert!(!this.done, "RemoveFuture polled after completion");
-        let shared = Arc::clone(&this.shared);
+        // Borrowed, not cloned: the pass below mutates only this future's
+        // own fields, so a poll never writes the pool's reference count.
+        let shared = &*this.shared;
         let notifier = shared.notifier();
         if let Some(ticket) = this.slot.take() {
             // A re-poll may carry a different waker (task migrated
@@ -261,7 +263,7 @@ impl<K: Key, V: Send + 'static, T: Timing> Future for KeyedRemoveFuture<K, V, T>
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = Pin::into_inner(self);
         assert!(!this.done, "KeyedRemoveFuture polled after completion");
-        let shared = Arc::clone(&this.shared);
+        let shared = &*this.shared;
         let notifier = shared.notifier();
         if let Some(ticket) = this.slot.take() {
             notifier.cancel_waker(ticket);
@@ -372,7 +374,7 @@ impl<K: Key, V: Send + 'static, T: Timing> Future for RemoveKeyFuture<K, V, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = Pin::into_inner(self);
         assert!(!this.done, "RemoveKeyFuture polled after completion");
-        let shared = Arc::clone(&this.shared);
+        let shared = &*this.shared;
         let notifier = shared.notifier();
         if let Some(ticket) = this.slot.take() {
             notifier.cancel_waker(ticket);

@@ -85,7 +85,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::core::{OpTimer, Registry, SearchSession, WaitCtl};
+use crate::core::{OpTimer, Registry, SearchSession, Slot, WaitCtl};
 use crate::error::RemoveError;
 use crate::hotkey::{HotKeyConfig, HotKeyDetector};
 use crate::ids::{ProcId, SegIdx};
@@ -954,7 +954,7 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
 const CACHED_SHELLS_PER_SEGMENT: usize = 2;
 
 pub(crate) struct KeyedShared<K, V, T> {
-    segments: Box<[KeyedSegment<K, V>]>,
+    segments: Box<[Slot<KeyedSegment<K, V>>]>,
     /// Pool-wide cache of spare transfer vectors: steals fill a recycled
     /// shell, refills return it (see [`transfer`](crate::transfer)).
     shells: FreeList<Vec<V>>,
@@ -1358,7 +1358,7 @@ impl<T: Timing> KeyedPoolBuilder<T> {
         KeyedPool {
             shared: Arc::new(KeyedShared {
                 segments: (0..self.segments)
-                    .map(|_| KeyedSegment::new(self.resident_buckets_max))
+                    .map(|_| Slot::new(KeyedSegment::new(self.resident_buckets_max)))
                     .collect(),
                 shells: FreeList::new(CACHED_SHELLS_PER_SEGMENT * self.segments + 2),
                 detector: self.hotkey.map(HotKeyDetector::new),
@@ -1380,6 +1380,12 @@ impl<T: Timing> KeyedPoolBuilder<T> {
 /// [`DynTiming`](crate::timing::DynTiming) for runtime selection. See the
 /// [module docs](self) for the design. Cloning is cheap and shares the
 /// pool.
+///
+/// As in [`Pool`](crate::Pool), each segment sits in its own slot, at
+/// least 128 bytes from its neighbours, and [`KeyedHandle`] and future
+/// operations borrow the shared state instead of cloning its `Arc`: a
+/// local operation writes no cache line another process writes, neither
+/// a neighbouring segment's nor the shared reference count.
 ///
 /// ```
 /// use cpool::KeyedPool;
@@ -1433,7 +1439,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
 
     /// Total elements across all segments (snapshot).
     pub fn total_len(&self) -> usize {
-        self.shared.segments.iter().map(KeyedSegment::len).sum()
+        self.shared.segments.iter().map(|s| s.len()).sum()
     }
 
     /// Elements of one key across all segments (snapshot).
@@ -1490,17 +1496,19 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
             .then(|| std::cell::RefCell::new(MagazineCache::new(self.shared.handle_cache)));
         KeyedHandle {
             shared: Arc::clone(&self.shared),
-            me,
-            seg,
-            last_found_any: seg,
-            last_found_key: BTreeMap::new(),
-            hot_cache: Vec::new(),
-            hot_range: None,
-            sample_tick: 0,
-            sweep_tick: 0,
-            magazine,
-            stats: ProcStats::default(),
-            poll_slot: None,
+            local: KeyedLocal {
+                me,
+                seg,
+                last_found_any: seg,
+                last_found_key: BTreeMap::new(),
+                hot_cache: Vec::new(),
+                hot_range: None,
+                sample_tick: 0,
+                sweep_tick: 0,
+                magazine,
+                stats: ProcStats::default(),
+                poll_slot: None,
+            },
         }
     }
 
@@ -1545,6 +1553,18 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
 /// deregisters from the livelock gate and deposits statistics.
 pub struct KeyedHandle<K: Key, V: Send + 'static, T: Timing = NullTiming> {
     shared: Arc<KeyedShared<K, V, T>>,
+    local: KeyedLocal<K, V>,
+}
+
+/// The part of a [`KeyedHandle`] that only its own process writes.
+///
+/// It is a field apart from the shared state so that one operation can
+/// borrow both at once: an add's timer and a blocking remove's wait
+/// controller and drained snapshots hold `&KeyedShared` while the
+/// operation mutates `KeyedLocal`. Cloning the pool's `Arc` for those
+/// borrows instead would make every operation write the reference count, a
+/// cache line every process shares.
+struct KeyedLocal<K, V> {
     me: ProcId,
     seg: SegIdx,
     /// Where `try_remove_any` last found elements (the linear `LastFound`).
@@ -1574,79 +1594,15 @@ pub struct KeyedHandle<K: Key, V: Send + 'static, T: Timing = NullTiming> {
     sweep_tick: u32,
     /// The two-magazine `(key, value)` cache, present when the pool was
     /// built with [`KeyedPoolBuilder::handle_cache`]. `RefCell` because
-    /// [`close`](Self::close) flushes through `&self`.
+    /// [`close`](KeyedHandle::close) flushes through `&self`.
     magazine: Option<std::cell::RefCell<MagazineCache<(K, V)>>>,
     stats: ProcStats,
-    /// Armed waker-registration ticket from [`poll_remove`](Self::poll_remove),
+    /// Armed waker-registration ticket from [`poll_remove`](KeyedHandle::poll_remove),
     /// carried between polls so the next poll (or drop) can withdraw it.
     poll_slot: Option<u64>,
 }
 
-impl<K: Key, V: Send + 'static, T: Timing> std::fmt::Debug for KeyedHandle<K, V, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KeyedHandle")
-            .field("proc", &self.me)
-            .field("segment", &self.seg)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
-    /// This process's id.
-    pub fn proc_id(&self) -> ProcId {
-        self.me
-    }
-
-    /// This process's home segment.
-    pub fn home_segment(&self) -> SegIdx {
-        self.seg
-    }
-
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &ProcStats {
-        &self.stats
-    }
-
-    /// Closes the pool — see [`PoolOps::close`]. Any handle (or the
-    /// [`KeyedPool`] itself) may close; the transition is pool-wide.
-    ///
-    /// Flushes this handle's magazines into its home segment first, so
-    /// blocked and future removers can drain the cached residue before
-    /// observing [`RemoveError::Closed`]. Other handles' magazines flush
-    /// at their own next flush point (see [`magazine`](crate::magazine)).
-    pub fn close(&self) {
-        self.flush_magazine();
-        self.shared.registry.notifier().close();
-    }
-
-    /// Whether the pool has been [closed](Self::close).
-    pub fn is_closed(&self) -> bool {
-        self.shared.registry.notifier().is_closed()
-    }
-
-    /// Pairs currently cached in this handle's magazines (0 when
-    /// [`KeyedPoolBuilder::handle_cache`] is off). These are invisible to
-    /// [`KeyedPool::total_len`]/[`KeyedPool::key_len`] and to every other
-    /// handle until flushed.
-    pub fn cached_len(&self) -> usize {
-        self.magazine.as_ref().map_or(0, |m| m.borrow().len())
-    }
-
-    /// Banks both magazines into the home segment and wakes consumers —
-    /// the close/drop/drain flush point.
-    fn flush_magazine(&self) {
-        let Some(mag) = &self.magazine else { return };
-        let mut mag = mag.borrow_mut();
-        if mag.is_empty() {
-            return;
-        }
-        let items = mag.take_all();
-        drop(mag);
-        self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.shared.segments[self.seg.index()].add_bulk_mixed(items);
-        self.shared.registry.notifier().notify_all();
-    }
-
+impl<K: Key, V: Send + 'static> KeyedLocal<K, V> {
     /// Feeds one in [`HotKeyConfig::sample_every`] operations on `key`
     /// into the pool's hot-key detector; on a promote-threshold crossing
     /// splits the key's bucket on the home segment (each handle promotes
@@ -1654,17 +1610,13 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// traffic samples the key), and sweeps cooled-off split buckets back
     /// to plain. No-op (one branch, one decrement) off the sample tick or
     /// with detection disabled.
-    fn maybe_sample(&mut self, key: &K) {
-        if self.shared.detector.is_none() {
-            return;
-        }
+    fn maybe_sample<T: Timing>(&mut self, shared: &KeyedShared<K, V, T>, key: &K) {
+        let Some(detector) = &shared.detector else { return };
         self.sample_tick += 1;
-        if self.sample_tick < self.shared.hot_cfg.sample_every {
+        if self.sample_tick < shared.hot_cfg.sample_every {
             return;
         }
         self.sample_tick = 0;
-        let shared = Arc::clone(&self.shared);
-        let detector = shared.detector.as_ref().expect("checked non-None above");
         let count = detector.observe(key.clone());
         let segment = &shared.segments[self.seg.index()];
         if count >= detector.promote_count() {
@@ -1742,102 +1694,18 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         self.refresh_hot_range();
     }
 
-    /// Adds an element under `key` to the local segment, then signals the
-    /// pool's notifier (after the segment lock is released) so consumers
-    /// parked in a [`Block`](WaitStrategy::Block) remove wake on the add
-    /// edge. Hot keys bypass the segment lock: the cached split bucket
-    /// takes the value under one sub-shard lock.
-    pub fn add(&mut self, key: K, value: V) {
-        let shared = Arc::clone(&self.shared);
-        let mut key = key;
-        let mut value = value;
-        // Magazine fast path, untimed and before the timer starts: cache
-        // the pair handle-locally (zero shared RMWs) unless consumers are
-        // parked — then flush instead, so no element is stranded invisible
-        // while a remover sleeps. Cached adds skip hot-key sampling (a
-        // magazined pair never lands in a bucket, so it carries no heat
-        // signal) and skip the segment charge (the point of the cache is to
-        // not touch the segment).
-        if let (Some(depot), Some(mag)) = (&shared.depot, &self.magazine) {
-            if shared.registry.notifier().waiters() > 0 {
-                let mut mag = mag.borrow_mut();
-                if !mag.is_empty() {
-                    let items = mag.take_all();
-                    drop(mag);
-                    shared.timing.charge(self.me, Resource::Segment(self.seg));
-                    shared.segments[self.seg.index()].add_bulk_mixed(items);
-                    self.stats.flush_on_wait += 1;
-                }
-                // Fall through: this add goes in pool-visibly, and the
-                // ordinary path's notify wakes the waiters.
-            } else {
-                match mag.borrow_mut().cache((key, value), depot) {
-                    CacheOutcome::Cached => {
-                        self.stats.record_cached_add();
-                        return;
-                    }
-                    CacheOutcome::Exchanged => {
-                        self.stats.depot_exchanges += 1;
-                        // A full magazine just became raidable; wake a
-                        // parked remover in case one raced past the
-                        // waiter check above.
-                        shared.registry.notifier().notify_all();
-                        self.stats.record_cached_add();
-                        return;
-                    }
-                    CacheOutcome::Full(back) => {
-                        (key, value) = back;
-                    }
-                }
-            }
-        }
-        let timer = OpTimer::start(&shared.timing, self.me, 0);
-        shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.maybe_sample(&key);
-        let segment = &shared.segments[self.seg.index()];
-        if let Some(hot) = self.cached_hot(&key) {
-            // The process slot as sub-shard affinity: concurrent handles
-            // spread across distinct shards, and this handle's pops probe
-            // the same shard first.
-            match segment.hot_push(hot, value, self.me.index()) {
-                Ok(()) => {
-                    self.shared.registry.notifier().notify_all();
-                    timer.finish_add(&mut self.stats, false);
-                    return;
-                }
-                Err(v) => {
-                    // Sealed: the bucket was demoted; drop the stale cache
-                    // entry and take the routed path.
-                    self.uncache_hot(&key);
-                    value = v;
-                }
-            }
-        }
-        segment.add(key, value);
-        self.shared.registry.notifier().notify_all();
-        timer.finish_add(&mut self.stats, false);
-    }
-
-    /// Removes an arbitrary element, stealing half of a remote bucket when
-    /// the local segment is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RemoveError::Aborted`] when every registered process was
-    /// searching simultaneously (the pool is starving), or
-    /// [`RemoveError::Closed`] when additionally the pool is closed and
-    /// drained.
-    pub fn try_remove_any(&mut self) -> Result<(K, V), RemoveError> {
-        self.try_remove_any_inner(None)
-    }
-
-    fn try_remove_any_inner(
+    /// One any-key remove as this process: the magazines first, then one
+    /// pass over the pool. `wait` is the blocking-wait controller of
+    /// [`remove_bounded`](PoolOps::remove_bounded) and
+    /// [`poll_remove`](KeyedHandle::poll_remove).
+    fn try_remove_any<T: Timing>(
         &mut self,
+        shared: &KeyedShared<K, V, T>,
         wait: Option<&mut WaitCtl<'_>>,
     ) -> Result<(K, V), RemoveError> {
         // Magazine fast path: pop handle-locally (refilling from the depot
         // on a dry cache) before touching any segment.
-        if let (Some(depot), Some(mag)) = (&self.shared.depot, &self.magazine) {
+        if let (Some(depot), Some(mag)) = (&shared.depot, &self.magazine) {
             match mag.borrow_mut().pop(depot) {
                 // Untimed, like the cached add: on a cost model with a
                 // clock (Sim or Real timing) a read would cost more than
@@ -1856,36 +1724,24 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         }
         // The pass engine lives on the shared state (the futures in
         // [`crate::future`] run the same pass); the handle supplies its
-        // identity, cursor, and stats.
-        let shared = Arc::clone(&self.shared);
-        let out = shared.remove_any_pass(
+        // identity, cursor, and stats. No sampling: detection is
+        // producer-side only (see `add`), so every remove flavor keeps the
+        // plain-baseline cost.
+        shared.remove_any_pass(
             self.me,
             self.seg,
             &mut self.last_found_any,
             &mut self.stats,
             false,
             wait,
-        );
-        // No sampling: detection is producer-side only (see `add`), so
-        // every remove flavor keeps the plain-baseline cost.
-        out
+        )
     }
 
-    /// Removes an element with the given key, stealing half of a remote
-    /// `key` bucket when the local one is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RemoveError::Aborted`] when every registered process was
-    /// searching simultaneously (no element of `key` is reachable and
-    /// nobody can be adding one), or [`RemoveError::Closed`] when the pool
-    /// is closed and holds no element of `key` anywhere.
-    pub fn try_remove_key(&mut self, key: &K) -> Result<V, RemoveError> {
-        self.try_remove_key_inner(key, None)
-    }
-
-    fn try_remove_key_inner(
+    /// One remove of `key` as this process — the key-scoped twin of
+    /// [`try_remove_any`](Self::try_remove_any).
+    fn try_remove_key<T: Timing>(
         &mut self,
+        shared: &KeyedShared<K, V, T>,
         key: &K,
         wait: Option<&mut WaitCtl<'_>>,
     ) -> Result<V, RemoveError> {
@@ -1906,9 +1762,9 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         // sealed result falls through to the full pass (which can steal
         // the key from remote segments).
         if let Some(hot) = self.cached_hot(key) {
-            let timer = OpTimer::start(&self.shared.timing, self.me, 0);
-            self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-            match self.shared.segments[self.seg.index()].hot_pop(hot, self.me.index()) {
+            let timer = OpTimer::start(&shared.timing, self.me, 0);
+            shared.timing.charge(self.me, Resource::Segment(self.seg));
+            match shared.segments[self.seg.index()].hot_pop(hot, self.me.index()) {
                 HotPop::Got(value) => {
                     timer.finish_local_remove(&mut self.stats);
                     return Ok(value);
@@ -1924,7 +1780,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         // progress back in afterwards (also on aborts — a retrying caller
         // must resume at the next segment).
         let mut cursor = self.last_found_key.get(key).copied().unwrap_or(self.seg);
-        let out = self.shared.remove_key_pass(
+        let out = shared.remove_key_pass(
             self.me,
             self.seg,
             key,
@@ -1935,6 +1791,177 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         );
         self.last_found_key.insert(key.clone(), cursor);
         out
+    }
+}
+
+impl<K: Key, V: Send + 'static, T: Timing> std::fmt::Debug for KeyedHandle<K, V, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyedHandle")
+            .field("proc", &self.local.me)
+            .field("segment", &self.local.seg)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
+    /// This process's id.
+    pub fn proc_id(&self) -> ProcId {
+        self.local.me
+    }
+
+    /// This process's home segment.
+    pub fn home_segment(&self) -> SegIdx {
+        self.local.seg
+    }
+
+    /// Statistics accumulated so far.
+    pub fn stats(&self) -> &ProcStats {
+        &self.local.stats
+    }
+
+    /// Closes the pool — see [`PoolOps::close`]. Any handle (or the
+    /// [`KeyedPool`] itself) may close; the transition is pool-wide.
+    ///
+    /// Flushes this handle's magazines into its home segment first, so
+    /// blocked and future removers can drain the cached residue before
+    /// observing [`RemoveError::Closed`]. Other handles' magazines flush
+    /// at their own next flush point (see [`magazine`](crate::magazine)).
+    pub fn close(&self) {
+        self.flush_magazine();
+        self.shared.registry.notifier().close();
+    }
+
+    /// Whether the pool has been [closed](Self::close).
+    pub fn is_closed(&self) -> bool {
+        self.shared.registry.notifier().is_closed()
+    }
+
+    /// Pairs currently cached in this handle's magazines (0 when
+    /// [`KeyedPoolBuilder::handle_cache`] is off). These are invisible to
+    /// [`KeyedPool::total_len`]/[`KeyedPool::key_len`] and to every other
+    /// handle until flushed.
+    pub fn cached_len(&self) -> usize {
+        self.local.magazine.as_ref().map_or(0, |m| m.borrow().len())
+    }
+
+    /// Banks both magazines into the home segment and wakes consumers —
+    /// the close/drop/drain flush point.
+    fn flush_magazine(&self) {
+        let Some(mag) = &self.local.magazine else { return };
+        let mut mag = mag.borrow_mut();
+        if mag.is_empty() {
+            return;
+        }
+        let items = mag.take_all();
+        drop(mag);
+        let seg = self.local.seg;
+        self.shared.timing.charge(self.local.me, Resource::Segment(seg));
+        self.shared.segments[seg.index()].add_bulk_mixed(items);
+        self.shared.registry.notifier().notify_all();
+    }
+
+    /// Adds an element under `key` to the local segment, then signals the
+    /// pool's notifier (after the segment lock is released) so consumers
+    /// parked in a [`Block`](WaitStrategy::Block) remove wake on the add
+    /// edge. Hot keys bypass the segment lock: the cached split bucket
+    /// takes the value under one sub-shard lock.
+    pub fn add(&mut self, key: K, value: V) {
+        let KeyedHandle { shared, local } = self;
+        let shared: &KeyedShared<K, V, T> = shared;
+        let (me, seg) = (local.me, local.seg);
+        let mut key = key;
+        let mut value = value;
+        // Magazine fast path, untimed and before the timer starts: cache
+        // the pair handle-locally (zero shared RMWs) unless consumers are
+        // parked — then flush instead, so no element is stranded invisible
+        // while a remover sleeps. Cached adds skip hot-key sampling (a
+        // magazined pair never lands in a bucket, so it carries no heat
+        // signal) and skip the segment charge (the point of the cache is to
+        // not touch the segment).
+        if let (Some(depot), Some(mag)) = (&shared.depot, &local.magazine) {
+            if shared.registry.notifier().waiters() > 0 {
+                let mut mag = mag.borrow_mut();
+                if !mag.is_empty() {
+                    let items = mag.take_all();
+                    drop(mag);
+                    shared.timing.charge(me, Resource::Segment(seg));
+                    shared.segments[seg.index()].add_bulk_mixed(items);
+                    local.stats.flush_on_wait += 1;
+                }
+                // Fall through: this add goes in pool-visibly, and the
+                // ordinary path's notify wakes the waiters.
+            } else {
+                match mag.borrow_mut().cache((key, value), depot) {
+                    CacheOutcome::Cached => {
+                        local.stats.record_cached_add();
+                        return;
+                    }
+                    CacheOutcome::Exchanged => {
+                        local.stats.depot_exchanges += 1;
+                        // A full magazine just became raidable; wake a
+                        // parked remover in case one raced past the
+                        // waiter check above.
+                        shared.registry.notifier().notify_all();
+                        local.stats.record_cached_add();
+                        return;
+                    }
+                    CacheOutcome::Full(back) => {
+                        (key, value) = back;
+                    }
+                }
+            }
+        }
+        let timer = OpTimer::start(&shared.timing, me, 0);
+        shared.timing.charge(me, Resource::Segment(seg));
+        local.maybe_sample(shared, &key);
+        let segment = &shared.segments[seg.index()];
+        if let Some(hot) = local.cached_hot(&key) {
+            // The process slot as sub-shard affinity: concurrent handles
+            // spread across distinct shards, and this handle's pops probe
+            // the same shard first.
+            match segment.hot_push(hot, value, me.index()) {
+                Ok(()) => {
+                    shared.registry.notifier().notify_all();
+                    timer.finish_add(&mut local.stats, false);
+                    return;
+                }
+                Err(v) => {
+                    // Sealed: the bucket was demoted; drop the stale cache
+                    // entry and take the routed path.
+                    local.uncache_hot(&key);
+                    value = v;
+                }
+            }
+        }
+        segment.add(key, value);
+        shared.registry.notifier().notify_all();
+        timer.finish_add(&mut local.stats, false);
+    }
+
+    /// Removes an arbitrary element, stealing half of a remote bucket when
+    /// the local segment is empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RemoveError::Aborted`] when every registered process was
+    /// searching simultaneously (the pool is starving), or
+    /// [`RemoveError::Closed`] when additionally the pool is closed and
+    /// drained.
+    pub fn try_remove_any(&mut self) -> Result<(K, V), RemoveError> {
+        self.local.try_remove_any(&self.shared, None)
+    }
+
+    /// Removes an element with the given key, stealing half of a remote
+    /// `key` bucket when the local one is empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RemoveError::Aborted`] when every registered process was
+    /// searching simultaneously (no element of `key` is reachable and
+    /// nobody can be adding one), or [`RemoveError::Closed`] when the pool
+    /// is closed and holds no element of `key` anywhere.
+    pub fn try_remove_key(&mut self, key: &K) -> Result<V, RemoveError> {
+        self.local.try_remove_key(&self.shared, key, None)
     }
 
     /// Removes an element with the given key, waiting under `wait` — the
@@ -1983,14 +2010,15 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         deadline: Option<Instant>,
     ) -> Result<V, RemoveError> {
         assert!(attempts > 0, "a blocking remove needs at least one attempt");
-        let shared = Arc::clone(&self.shared);
+        let KeyedHandle { shared, local } = self;
+        let shared: &KeyedShared<K, V, T> = shared;
         let mut ctl = WaitCtl::new(shared.registry.notifier(), wait, attempts, deadline);
         // The shared driver with the drained snapshot scoped to `key`:
         // other keys' elements cannot satisfy this remove, so they do not
         // keep it alive.
         crate::core::drive_blocking_remove(
             &mut ctl,
-            |ctl| self.try_remove_key_inner(key, Some(ctl)),
+            |ctl| local.try_remove_key(shared, key, Some(ctl)),
             || shared.drained_key(key),
             || shared.registry.notifier().is_closed(),
         )
@@ -2003,7 +2031,12 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// but holds no borrow of the handle, so one handle can have many
     /// futures pending at once.
     pub fn remove_async(&self) -> crate::future::KeyedRemoveFuture<K, V, T> {
-        crate::future::KeyedRemoveFuture::new(Arc::clone(&self.shared), self.me, self.seg, None)
+        crate::future::KeyedRemoveFuture::new(
+            Arc::clone(&self.shared),
+            self.local.me,
+            self.local.seg,
+            None,
+        )
     }
 
     /// [`remove_async`](Self::remove_async) with a deadline: past
@@ -2014,8 +2047,8 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     ) -> crate::future::KeyedRemoveFuture<K, V, T> {
         crate::future::KeyedRemoveFuture::new(
             Arc::clone(&self.shared),
-            self.me,
-            self.seg,
+            self.local.me,
+            self.local.seg,
             Some(Instant::now() + timeout),
         )
     }
@@ -2026,7 +2059,13 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// reachable the future is pending, and other keys' traffic wakes it
     /// only to re-check and re-register.
     pub fn remove_key_async(&self, key: K) -> crate::future::RemoveKeyFuture<K, V, T> {
-        crate::future::RemoveKeyFuture::new(Arc::clone(&self.shared), self.me, self.seg, key, None)
+        crate::future::RemoveKeyFuture::new(
+            Arc::clone(&self.shared),
+            self.local.me,
+            self.local.seg,
+            key,
+            None,
+        )
     }
 
     /// [`remove_key_async`](Self::remove_key_async) with a deadline: past
@@ -2038,8 +2077,8 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     ) -> crate::future::RemoveKeyFuture<K, V, T> {
         crate::future::RemoveKeyFuture::new(
             Arc::clone(&self.shared),
-            self.me,
-            self.seg,
+            self.local.me,
+            self.local.seg,
             key,
             Some(Instant::now() + timeout),
         )
@@ -2056,8 +2095,9 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         &mut self,
         cx: &mut std::task::Context<'_>,
     ) -> std::task::Poll<Result<(K, V), RemoveError>> {
-        let shared = Arc::clone(&self.shared);
-        let mut slot = self.poll_slot.take();
+        let KeyedHandle { shared, local } = self;
+        let shared: &KeyedShared<K, V, T> = shared;
+        let mut slot = local.poll_slot.take();
         if let Some(ticket) = slot.take() {
             // Re-polls may carry a different waker: retire the stale
             // registration so the armed waker is always the current one.
@@ -2066,11 +2106,11 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         let mut ctl = WaitCtl::new_poll(shared.notifier(), None, cx.waker(), &mut slot);
         let out = crate::core::drive_poll_remove(
             &mut ctl,
-            |ctl| self.try_remove_any_inner(Some(ctl)),
+            |ctl| local.try_remove_any(shared, Some(ctl)),
             || shared.drained(),
             || shared.notifier().is_closed(),
         );
-        self.poll_slot = slot;
+        local.poll_slot = slot;
         out
     }
 }
@@ -2126,11 +2166,12 @@ impl<K: Key, V: Send + 'static, T: Timing> PoolOps for KeyedHandle<K, V, T> {
         deadline: Option<Instant>,
     ) -> Result<(K, V), RemoveError> {
         assert!(attempts > 0, "a blocking remove needs at least one attempt");
-        let shared = Arc::clone(&self.shared);
+        let KeyedHandle { shared, local } = self;
+        let shared: &KeyedShared<K, V, T> = shared;
         let mut ctl = WaitCtl::new(shared.registry.notifier(), wait, attempts, deadline);
         crate::core::drive_blocking_remove(
             &mut ctl,
-            |ctl| self.try_remove_any_inner(Some(ctl)),
+            |ctl| local.try_remove_any(shared, Some(ctl)),
             || shared.drained(),
             || shared.registry.notifier().is_closed(),
         )
@@ -2144,36 +2185,39 @@ impl<K: Key, V: Send + 'static, T: Timing> PoolOps for KeyedHandle<K, V, T> {
         if n == 0 {
             return;
         }
-        let timer = OpTimer::start(&self.shared.timing, self.me, 0);
-        self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.shared.segments[self.seg.index()].add_bulk_mixed(batch);
+        let KeyedHandle { shared, local } = self;
+        let timer = OpTimer::start(&shared.timing, local.me, 0);
+        shared.timing.charge(local.me, Resource::Segment(local.seg));
+        shared.segments[local.seg.index()].add_bulk_mixed(batch);
         // One wakeup per batch, after the segment lock is released.
-        self.shared.registry.notifier().notify_all();
-        timer.finish_add_batch(&mut self.stats, n, 0);
+        shared.registry.notifier().notify_all();
+        timer.finish_add_batch(&mut local.stats, n, 0);
     }
 
     fn try_remove_batch(&mut self, n: usize) -> SmallDrain<Vec<(K, V)>> {
         if n == 0 {
             return SmallDrain::new(Vec::new());
         }
-        let timer = OpTimer::start(&self.shared.timing, self.me, 0);
-        self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        let mut got = self.shared.segments[self.seg.index()].remove_up_to(n);
+        let KeyedHandle { shared, local } = self;
+        let (me, seg) = (local.me, local.seg);
+        let timer = OpTimer::start(&shared.timing, me, 0);
+        shared.timing.charge(me, Resource::Segment(seg));
+        let mut got = shared.segments[seg.index()].remove_up_to(n);
         if !got.is_empty() {
-            timer.finish_remove_batch(&mut self.stats, got.len());
+            timer.finish_remove_batch(&mut local.stats, got.len());
             return SmallDrain::new(got);
         }
         // Local segment empty: one any-key steal search for the first
         // element (it refills the local segment with half of a remote
         // bucket), then top up locally. The search accounts itself.
-        timer.finish_remove_batch(&mut self.stats, 0);
-        if let Ok(first) = self.try_remove_any() {
+        timer.finish_remove_batch(&mut local.stats, 0);
+        if let Ok(first) = local.try_remove_any(shared, None) {
             got.push(first);
             if n > 1 {
-                let top_up = OpTimer::start(&self.shared.timing, self.me, 0);
-                self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-                let extra = self.shared.segments[self.seg.index()].remove_up_to(n - 1);
-                top_up.finish_remove_batch(&mut self.stats, extra.len());
+                let top_up = OpTimer::start(&shared.timing, me, 0);
+                shared.timing.charge(me, Resource::Segment(seg));
+                let extra = shared.segments[seg.index()].remove_up_to(n - 1);
+                top_up.finish_remove_batch(&mut local.stats, extra.len());
                 got.extend(extra);
             }
         }
@@ -2181,15 +2225,16 @@ impl<K: Key, V: Send + 'static, T: Timing> PoolOps for KeyedHandle<K, V, T> {
     }
 
     fn drain(&mut self) -> SmallDrain<Vec<(K, V)>> {
-        let timer = OpTimer::start(&self.shared.timing, self.me, 0);
+        let KeyedHandle { shared, local } = self;
+        let timer = OpTimer::start(&shared.timing, local.me, 0);
         let mut all = Vec::new();
         // Own magazines first, then the depot (banking the gauge down only
         // after the pairs are in `all`), then the segments. Other handles'
         // magazines stay theirs — see [`magazine`](crate::magazine).
-        if let Some(mag) = &self.magazine {
+        if let Some(mag) = &local.magazine {
             all.extend(mag.borrow_mut().take_all());
         }
-        if let Some(depot) = &self.shared.depot {
+        if let Some(depot) = &shared.depot {
             while let Some(mut mag) = depot.take_full() {
                 let n = mag.len();
                 all.append(&mut mag);
@@ -2197,11 +2242,11 @@ impl<K: Key, V: Send + 'static, T: Timing> PoolOps for KeyedHandle<K, V, T> {
                 depot.unstash(n);
             }
         }
-        for (i, seg) in self.shared.segments.iter().enumerate() {
-            self.shared.timing.charge(self.me, Resource::Segment(SegIdx::new(i)));
+        for (i, seg) in shared.segments.iter().enumerate() {
+            shared.timing.charge(local.me, Resource::Segment(SegIdx::new(i)));
             all.extend(seg.drain_all());
         }
-        timer.finish_remove_batch(&mut self.stats, all.len());
+        timer.finish_remove_batch(&mut local.stats, all.len());
         SmallDrain::new(all)
     }
 }
@@ -2285,11 +2330,11 @@ impl<K: Key, V: Send + 'static, T: Timing> Drop for KeyedHandle<K, V, T> {
         // A dropped handle withdraws any waker registration left armed by
         // a pending `poll_remove` before it stops being a waiter, and
         // banks its magazines so no cached pair is lost with the handle.
-        if let Some(ticket) = self.poll_slot.take() {
+        if let Some(ticket) = self.local.poll_slot.take() {
             self.shared.registry.notifier().cancel_waker(ticket);
         }
         self.flush_magazine();
-        self.shared.registry.retire(self.me, std::mem::take(&mut self.stats));
+        self.shared.registry.retire(self.local.me, std::mem::take(&mut self.local.stats));
     }
 }
 
@@ -2310,6 +2355,19 @@ mod tests {
         assert_eq!(h.try_remove_key(&2), Ok(20));
         assert!(matches!(h.try_remove_key(&1), Ok(10 | 11)));
         assert_eq!(pool.total_len(), 1);
+    }
+
+    #[test]
+    fn neighbouring_segments_are_at_least_128_bytes_apart() {
+        // The plain pool's layout guarantee, for the keyed segments.
+        let pool: KeyedPool<u8, u32> = KeyedPool::new(4);
+        for pair in pool.shared.segments.windows(2) {
+            let this: &KeyedSegment<u8, u32> = &pair[0];
+            let next: &KeyedSegment<u8, u32> = &pair[1];
+            let end = this as *const KeyedSegment<u8, u32> as usize + std::mem::size_of_val(this);
+            let gap = next as *const KeyedSegment<u8, u32> as usize - end;
+            assert!(gap >= 128, "only {gap} bytes between neighbouring segments");
+        }
     }
 
     #[test]

@@ -46,10 +46,11 @@
 //! as parking, minus the park: a future's `poll` registers its waker
 //! ([`Notifier::register_waker`]), re-checks its wake condition, and only
 //! then returns `Pending`; a completed or cancelled future withdraws with
-//! [`Notifier::cancel_waker`]. Drained waker lists recycle through a
-//! bounded free list, so the steady-state register/wake/re-register cycle
-//! performs **zero heap allocations** (asserted by the counting-allocator
-//! suite in `tests/alloc_async.rs`).
+//! [`Notifier::cancel_waker`]. Drained lists — parked threads and wakers
+//! alike — recycle through a bounded free list, so the steady-state
+//! park/wake and register/wake/re-register cycles perform **zero heap
+//! allocations** (asserted by the counting-allocator suite in
+//! `tests/alloc_async.rs`).
 //!
 //! The notifier also owns the pool's **lifecycle bit**: [`close`](Notifier::close)
 //! flips a sticky flag and wakes everyone, so blocked removers can drain
@@ -84,10 +85,10 @@ use parking_lot::Mutex;
 
 use crate::transfer::FreeList;
 
-/// Recycled waker-list shells kept per notifier: enough for a signaller to
+/// Recycled wait-list shells kept per notifier: enough for a signaller to
 /// be mid-delivery on every shell while new signals keep arriving, without
 /// the drain path ever allocating in steady state.
-const WAKER_SHELLS: usize = 8;
+const LIST_SHELLS: usize = 8;
 
 /// Both registration lists, behind one lock so an epoch bump drains them
 /// as a single atomic step (see `bump_and_drain`).
@@ -99,14 +100,6 @@ struct WaitList {
     /// Registered task wakers, keyed the same way so a future can cancel
     /// its own registration (completion, drop, or waker replacement).
     wakers: Vec<(u64, Waker)>,
-}
-
-/// What `bump_and_drain` hands back for delivery outside the lock.
-struct Drained {
-    parked: Vec<(u64, Thread)>,
-    /// `None` when no wakers were registered; otherwise a recycled shell
-    /// the caller must return via `recycle_waker_shell` after waking.
-    wakers: Option<Vec<(u64, Waker)>>,
 }
 
 /// A per-pool wakeup channel: signal epoch, registered parkers and task
@@ -128,10 +121,11 @@ pub struct Notifier {
     waitlist: Mutex<WaitList>,
     /// Ticket mint for both registration lists.
     next_ticket: AtomicU64,
-    /// Recycled waker-vector shells: a drain swaps the registered list out
-    /// into a shell from here and returns it after waking, so signalling
-    /// N pending futures allocates nothing once warmed.
-    waker_shells: FreeList<Vec<(u64, Waker)>>,
+    /// Recycled wait-list shells: a drain swaps both registered lists out
+    /// into a shell from here and returns it after waking, so neither the
+    /// next park nor the next waker registration has to grow an empty
+    /// vector — signalling allocates nothing once warmed.
+    shells: FreeList<WaitList>,
 }
 
 impl Default for Notifier {
@@ -142,7 +136,7 @@ impl Default for Notifier {
             closed: AtomicBool::new(false),
             waitlist: Mutex::new(WaitList::default()),
             next_ticket: AtomicU64::new(0),
-            waker_shells: FreeList::new(WAKER_SHELLS),
+            shells: FreeList::new(LIST_SHELLS),
         }
     }
 }
@@ -330,39 +324,35 @@ impl Notifier {
     /// the condition re-check for wakers — turns the wait into an
     /// immediate wake-up).
     ///
-    /// Drained wakers leave in a recycled shell from `waker_shells`, and
-    /// their share of the waiter count is settled here: a waker
-    /// registration is consumed by the drain (one wake per registration),
-    /// unlike a [`Waiter`] whose count persists until the guard drops.
-    fn bump_and_drain(&self) -> Drained {
+    /// Both lists leave in a recycled shell from `shells` (`None` when
+    /// nobody was registered), and the wakers' share of the waiter count
+    /// is settled here: a waker registration is consumed by the drain (one
+    /// wake per registration), unlike a [`Waiter`] whose count persists
+    /// until the guard drops.
+    fn bump_and_drain(&self) -> Option<WaitList> {
         let mut list = self.waitlist.lock();
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        let parked = std::mem::take(&mut list.parked);
-        let wakers = if list.wakers.is_empty() {
-            None
-        } else {
-            let mut shell = self.waker_shells.take().unwrap_or_default();
-            debug_assert!(shell.is_empty());
-            std::mem::swap(&mut list.wakers, &mut shell);
-            self.waiters.fetch_sub(shell.len(), Ordering::SeqCst);
-            Some(shell)
-        };
-        drop(list);
-        Drained { parked, wakers }
+        if list.parked.is_empty() && list.wakers.is_empty() {
+            return None;
+        }
+        let mut shell = self.shells.take().unwrap_or_default();
+        debug_assert!(shell.parked.is_empty() && shell.wakers.is_empty());
+        std::mem::swap(&mut *list, &mut shell);
+        self.waiters.fetch_sub(shell.wakers.len(), Ordering::SeqCst);
+        Some(shell)
     }
 
     /// Unparks and wakes everything a drain handed back, then returns the
-    /// waker shell to the free list (cleared, capacity retained).
-    fn deliver(&self, drained: Drained) {
-        for (_, thread) in drained.parked {
+    /// shell to the free list (cleared, capacity retained).
+    fn deliver(&self, drained: Option<WaitList>) {
+        let Some(mut drained) = drained else { return };
+        for (_, thread) in drained.parked.drain(..) {
             thread.unpark();
         }
-        if let Some(mut wakers) = drained.wakers {
-            for (_, waker) in wakers.drain(..) {
-                waker.wake();
-            }
-            self.waker_shells.put(wakers);
+        for (_, waker) in drained.wakers.drain(..) {
+            waker.wake();
         }
+        self.shells.put(drained);
     }
 
     /// Closes the pool: a sticky, idempotent lifecycle transition.
@@ -626,7 +616,7 @@ mod tests {
             n.register_waker(&waker);
             n.notify_all();
         }
-        assert!(n.waker_shells.cached() >= 1, "drained shells return to the free list");
+        assert!(n.shells.cached() >= 1, "drained shells return to the free list");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use crate::core::{OpTimer, Registry, SearchSession, WaitCtl};
+use crate::core::{OpTimer, Registry, SearchSession, Slot, WaitCtl};
 use crate::error::RemoveError;
 use crate::future::RemoveFuture;
 use crate::gate::SearchGate;
@@ -306,7 +306,8 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
         // Segments are built as one family so representations with pooled
         // resources (the block segment's block cache, the vec segment's
         // shell cache) share them across the pool.
-        let segments: Box<[S]> = S::new_family(self.segments).into();
+        let segments: Box<[Slot<S>]> =
+            S::new_family(self.segments).into_iter().map(Slot::new).collect();
         let trace = self
             .record_trace
             .then(|| TraceRecorder::new(self.trace_procs.unwrap_or(self.segments)));
@@ -336,7 +337,7 @@ impl<S: Segment, T: Timing> PoolBuilder<S, T> {
 }
 
 pub(crate) struct Shared<S: Segment, P, T> {
-    segments: Box<[S]>,
+    segments: Box<[Slot<S>]>,
     policy: P,
     registry: Registry,
     timing: T,
@@ -366,7 +367,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
     /// not counted (see [`magazine`](crate::magazine) for why that cannot
     /// strand a waiter).
     pub(crate) fn drained(&self) -> bool {
-        self.segments.iter().all(Segment::is_empty)
+        self.segments.iter().all(|s| s.is_empty())
             && self.depot.as_ref().is_none_or(|d| d.stashed() == 0)
     }
 
@@ -529,6 +530,16 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Shared<S, P, T> {
 /// [`timing`](crate::timing)). Cloning a `Pool` is cheap (it is an `Arc`
 /// handle to shared state); all clones refer to the same pool. See the
 /// [crate docs](crate) for an end-to-end example.
+///
+/// A local operation writes only memory its own process writes. Each
+/// segment sits in its own slot, at least 128 bytes from its neighbours,
+/// so two processes never write one cache line (or one x86 adjacent-line
+/// pair) from neighbouring segments. [`Handle`] and [`RemoveFuture`]
+/// operations borrow the shared state instead of cloning the `Arc`, so
+/// they never write its reference count, a line every process shares;
+/// only creating an owner — [`register`](Self::register), `clone`, a
+/// future — does. On two cores, that line traffic, not the segment lock,
+/// was most of the cost of a local remove.
 pub struct Pool<S: Segment, P: SearchPolicy, T: Timing = NullTiming> {
     shared: Arc<Shared<S, P, T>>,
 }
@@ -602,7 +613,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Pool<S, P, T> {
     /// [`Handle::cached_len`], and [`magazine`](crate::magazine) for the
     /// visibility semantics.
     pub fn total_len(&self) -> usize {
-        self.shared.segments.iter().map(Segment::len).sum()
+        self.shared.segments.iter().map(|s| s.len()).sum()
     }
 
     /// Elements currently stashed in the magazine depot's full magazines
@@ -615,7 +626,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Pool<S, P, T> {
 
     /// Current segment sizes (snapshot).
     pub fn segment_sizes(&self) -> Vec<usize> {
-        self.shared.segments.iter().map(Segment::len).collect()
+        self.shared.segments.iter().map(|s| s.len()).collect()
     }
 
     /// Distributes `count` items round-robin across the segments, producing
@@ -668,12 +679,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Pool<S, P, T> {
             .then(|| std::cell::RefCell::new(MagazineCache::new(self.shared.handle_cache)));
         Handle {
             shared: Arc::clone(&self.shared),
-            me,
-            seg,
-            state,
-            stats: ProcStats::default(),
-            poll_slot: None,
-            magazine,
+            local: Local { me, seg, state, stats: ProcStats::default(), poll_slot: None, magazine },
         }
     }
 
@@ -701,11 +707,22 @@ where
 /// deposits its statistics with the pool.
 pub struct Handle<S: Segment, P: SearchPolicy, T: Timing = NullTiming> {
     shared: Arc<Shared<S, P, T>>,
+    local: Local<S, P>,
+}
+
+/// The part of a [`Handle`] that only its own process writes.
+///
+/// It is a field apart from the shared state so that one operation can
+/// borrow both at once: a blocking or polled remove's wait controller and
+/// drained snapshots hold `&Shared` while its passes mutate `Local`.
+/// Cloning the pool's `Arc` for those borrows instead would make every
+/// remove write the reference count, a cache line every process shares.
+struct Local<S: Segment, P: SearchPolicy> {
     me: ProcId,
     seg: SegIdx,
     state: P::State,
     stats: ProcStats,
-    /// Armed waker-registration ticket from [`poll_remove`](Self::poll_remove)
+    /// Armed waker-registration ticket from [`poll_remove`](Handle::poll_remove)
     /// (the handle-level poll API; [`RemoveFuture`] keeps its own slot).
     /// Cancelled on drop so a retired handle cannot leave a dangling
     /// registration holding the notifier's waiter count up.
@@ -717,11 +734,65 @@ pub struct Handle<S: Segment, P: SearchPolicy, T: Timing = NullTiming> {
     magazine: Option<std::cell::RefCell<MagazineCache<S::Item>>>,
 }
 
+impl<S: Segment, P: SearchPolicy> Local<S, P> {
+    /// One remove as this process: from the private magazines first (a
+    /// hit is a thread-local pop, a refill claims one full magazine from
+    /// the depot for this and the next `cap - 1` removes), then one pass
+    /// over the pool.
+    ///
+    /// `overhead_ns` is the per-operation charge (zero on the batched
+    /// paths and on a blocking remove's retry passes, which already paid
+    /// it); `wait` is the blocking-wait controller that
+    /// [`remove_bounded`](PoolOps::remove_bounded) threads into the search
+    /// so it parks at lap boundaries instead of polling.
+    fn try_remove<T: Timing>(
+        &mut self,
+        shared: &Shared<S, P, T>,
+        overhead_ns: u64,
+        wait: Option<&mut WaitCtl<'_>>,
+    ) -> Result<S::Item, RemoveError> {
+        if let (Some(depot), Some(mag)) = (&shared.depot, &self.magazine) {
+            let outcome = mag.borrow_mut().pop(depot);
+            match outcome {
+                // Untimed like the cached add: the configured per-op
+                // computation is still charged to simulated cost models,
+                // but no clock reads (which Sim and Real timing would pay)
+                // price the thread-local pop.
+                PopOutcome::Hit(item) => {
+                    if overhead_ns > 0 {
+                        shared.timing.charge_work(self.me, overhead_ns);
+                    }
+                    self.stats.record_cached_remove();
+                    return Ok(item);
+                }
+                PopOutcome::Refilled(item) => {
+                    if overhead_ns > 0 {
+                        shared.timing.charge_work(self.me, overhead_ns);
+                    }
+                    self.stats.depot_exchanges += 1;
+                    self.stats.record_cached_remove();
+                    return Ok(item);
+                }
+                PopOutcome::Miss => {}
+            }
+        }
+        shared.remove_pass(
+            self.me,
+            self.seg,
+            &mut self.state,
+            &mut self.stats,
+            false,
+            overhead_ns,
+            wait,
+        )
+    }
+}
+
 impl<S: Segment, P: SearchPolicy, T: Timing> std::fmt::Debug for Handle<S, P, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Handle")
-            .field("proc", &self.me)
-            .field("segment", &self.seg)
+            .field("proc", &self.local.me)
+            .field("segment", &self.local.seg)
             .finish_non_exhaustive()
     }
 }
@@ -729,37 +800,37 @@ impl<S: Segment, P: SearchPolicy, T: Timing> std::fmt::Debug for Handle<S, P, T>
 impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// This process's id.
     pub fn proc_id(&self) -> ProcId {
-        self.me
+        self.local.me
     }
 
     /// This process's home segment.
     pub fn home_segment(&self) -> SegIdx {
-        self.seg
+        self.local.seg
     }
 
     /// Statistics accumulated by this process so far.
     pub fn stats(&self) -> &ProcStats {
-        &self.stats
+        &self.local.stats
     }
 
     /// Current time for this process, per the pool's clock: virtual time
     /// under `SimTiming`, wall-clock nanoseconds under `RealTiming`, and
     /// always 0 under the default [`NullTiming`], which has no clock.
     pub fn now(&self) -> u64 {
-        self.shared.timing.now(self.me)
+        self.shared.timing.now(self.local.me)
     }
 
     /// Charges `ns` nanoseconds of application work to this process
     /// (meaningful under a virtual-time cost model; free otherwise).
     pub fn charge_work(&self, ns: u64) {
-        self.shared.timing.charge_work(self.me, ns);
+        self.shared.timing.charge_work(self.local.me, ns);
     }
 
     /// Elements currently cached in this handle's private magazines
     /// (zero when the pool was built without
     /// [`handle_cache`](PoolBuilder::handle_cache)).
     pub fn cached_len(&self) -> usize {
-        self.magazine.as_ref().map_or(0, |m| m.borrow().len())
+        self.local.magazine.as_ref().map_or(0, |m| m.borrow().len())
     }
 
     /// Closes the pool — see [`PoolOps::close`]. Any handle (or the
@@ -778,17 +849,18 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// home segment and wakes parked waiters. No-op when the cache is
     /// absent or empty.
     fn flush_magazine(&self) {
-        let Some(mag) = &self.magazine else { return };
+        let Some(mag) = &self.local.magazine else { return };
         let mut mag = mag.borrow_mut();
         if mag.is_empty() {
             return;
         }
         let items = mag.take_all();
         drop(mag);
-        self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.shared.segments[self.seg.index()].add_bulk_vec(items);
+        let (me, seg) = (self.local.me, self.local.seg);
+        self.shared.timing.charge(me, Resource::Segment(seg));
+        self.shared.segments[seg.index()].add_bulk_vec(items);
         self.shared.registry.notifier().notify_all();
-        self.record_trace(self.seg, TraceKind::Add);
+        self.shared.record_trace(me, seg, TraceKind::Add);
     }
 
     /// Whether the pool has been [closed](Self::close).
@@ -809,6 +881,8 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// edge instead of waiting out a backoff. The signal is one fence plus
     /// one load when nobody is parked.
     pub fn add(&mut self, item: S::Item) {
+        let Handle { shared, local } = self;
+        let (me, seg) = (local.me, local.seg);
         let mut item = item;
         // Magazine fast path, before the timer even starts: a cached add is
         // a handful of thread-local instructions, and on a cost model with
@@ -818,8 +892,8 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         // *searching* (not parked) processes, and a fruitless search aborts
         // rather than blocks; parked/async waiters are what the check below
         // protects.
-        if let (Some(depot), Some(mag)) = (&self.shared.depot, &self.magazine) {
-            if self.shared.registry.notifier().waiters() > 0 {
+        if let (Some(depot), Some(mag)) = (&shared.depot, &local.magazine) {
+            if shared.registry.notifier().waiters() > 0 {
                 // Parked or async removers are waiting: a cached element
                 // would be invisible to them, so publish the whole cache
                 // and let this add take the ordinary visible path below.
@@ -827,9 +901,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                 if !mag.is_empty() {
                     let items = mag.take_all();
                     drop(mag);
-                    self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-                    self.shared.segments[self.seg.index()].add_bulk_vec(items);
-                    self.stats.flush_on_wait += 1;
+                    shared.timing.charge(me, Resource::Segment(seg));
+                    shared.segments[seg.index()].add_bulk_vec(items);
+                    local.stats.flush_on_wait += 1;
                 }
             } else {
                 match mag.borrow_mut().cache(item, depot) {
@@ -838,21 +912,21 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                         // memory touched (the waiter check above is one
                         // load). Simulated cost models still see the
                         // configured per-op computation.
-                        if self.shared.add_overhead_ns > 0 {
-                            self.shared.timing.charge_work(self.me, self.shared.add_overhead_ns);
+                        if shared.add_overhead_ns > 0 {
+                            shared.timing.charge_work(me, shared.add_overhead_ns);
                         }
-                        self.stats.record_cached_add();
+                        local.stats.record_cached_add();
                         return;
                     }
                     CacheOutcome::Exchanged => {
                         // A full magazine became pool-visible in the depot:
                         // signal it like any other publication.
-                        if self.shared.add_overhead_ns > 0 {
-                            self.shared.timing.charge_work(self.me, self.shared.add_overhead_ns);
+                        if shared.add_overhead_ns > 0 {
+                            shared.timing.charge_work(me, shared.add_overhead_ns);
                         }
-                        self.stats.depot_exchanges += 1;
-                        self.shared.registry.notifier().notify_all();
-                        self.stats.record_cached_add();
+                        local.stats.depot_exchanges += 1;
+                        shared.registry.notifier().notify_all();
+                        local.stats.record_cached_add();
                         return;
                     }
                     // Depot saturated: fall through to the shared path.
@@ -860,16 +934,16 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                 }
             }
         }
-        let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.add_overhead_ns);
-        if let Some(board) = &self.shared.hints {
+        let timer = OpTimer::start(&shared.timing, me, shared.add_overhead_ns);
+        if let Some(board) = &shared.hints {
             if board.has_waiters() {
                 // The board is a shared structure: charge the donation
                 // before touching the mailbox (lock/charge discipline).
-                self.shared.timing.charge(self.me, Resource::Shared(HINT_BOARD_RESOURCE));
+                shared.timing.charge(me, Resource::Shared(HINT_BOARD_RESOURCE));
                 match board.try_donate(item) {
                     Ok(_receiver) => {
-                        self.shared.registry.notifier().notify_all();
-                        timer.finish_add(&mut self.stats, true);
+                        shared.registry.notifier().notify_all();
+                        timer.finish_add(&mut local.stats, true);
                         return;
                     }
                     // Every waiter raced away; fall through to a local add.
@@ -877,13 +951,13 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
                 }
             }
         }
-        self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        self.shared.segments[self.seg.index()].add(item);
+        shared.timing.charge(me, Resource::Segment(seg));
+        shared.segments[seg.index()].add(item);
         // Signal after releasing the segment lock: the element is already
         // visible to any woken searcher's probe.
-        self.shared.registry.notifier().notify_all();
-        timer.finish_add(&mut self.stats, false);
-        self.record_trace(self.seg, TraceKind::Add);
+        shared.registry.notifier().notify_all();
+        timer.finish_add(&mut local.stats, false);
+        shared.record_trace(me, seg, TraceKind::Add);
     }
 
     /// Removes an arbitrary element: locally if possible, otherwise by
@@ -896,61 +970,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// [`RemoveError::Closed`] when, additionally, the pool is
     /// [closed](Self::close) and drained.
     pub fn try_remove(&mut self) -> Result<S::Item, RemoveError> {
-        self.try_remove_inner(self.shared.remove_overhead_ns, None)
-    }
-
-    /// `try_remove` with an explicit per-operation overhead charge (so the
-    /// batched paths — which already paid the overhead for the whole batch
-    /// — can fall back to a search without charging it twice) and an
-    /// optional blocking-wait controller (threaded into the search by
-    /// [`remove_bounded`](PoolOps::remove_bounded), which parks the search
-    /// at lap boundaries instead of letting it poll).
-    fn try_remove_inner(
-        &mut self,
-        overhead_ns: u64,
-        wait: Option<&mut WaitCtl<'_>>,
-    ) -> Result<S::Item, RemoveError> {
-        // Serve from the private magazines first: a hit is a thread-local
-        // pop, a refill claims one full magazine from the depot for this
-        // and the next `cap - 1` removes.
-        if let (Some(depot), Some(mag)) = (&self.shared.depot, &self.magazine) {
-            let outcome = mag.borrow_mut().pop(depot);
-            match outcome {
-                // Untimed like the cached add: the configured per-op
-                // computation is still charged to simulated cost models,
-                // but no clock reads (which Sim and Real timing would pay)
-                // price the thread-local pop.
-                PopOutcome::Hit(item) => {
-                    if overhead_ns > 0 {
-                        self.shared.timing.charge_work(self.me, overhead_ns);
-                    }
-                    self.stats.record_cached_remove();
-                    return Ok(item);
-                }
-                PopOutcome::Refilled(item) => {
-                    if overhead_ns > 0 {
-                        self.shared.timing.charge_work(self.me, overhead_ns);
-                    }
-                    self.stats.depot_exchanges += 1;
-                    self.stats.record_cached_remove();
-                    return Ok(item);
-                }
-                PopOutcome::Miss => {}
-            }
-        }
-        self.shared.remove_pass(
-            self.me,
-            self.seg,
-            &mut self.state,
-            &mut self.stats,
-            false,
-            overhead_ns,
-            wait,
-        )
-    }
-
-    fn record_trace(&self, seg: SegIdx, kind: TraceKind) {
-        self.shared.record_trace(self.me, seg, kind);
+        self.local.try_remove(&self.shared, self.shared.remove_overhead_ns, None)
     }
 
     /// Returns a future that resolves to a removed element, driving the
@@ -967,7 +987,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// closed and drained, and with [`RemoveError::Aborted`] when the
     /// registered fleet proves the pool unreachable-empty (§3.2).
     pub fn remove_async(&self) -> RemoveFuture<S, P, T> {
-        RemoveFuture::new(Arc::clone(&self.shared), self.me, self.seg, None)
+        RemoveFuture::new(Arc::clone(&self.shared), self.local.me, self.local.seg, None)
     }
 
     /// [`remove_async`](Self::remove_async) with a deadline: the future
@@ -982,8 +1002,8 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     pub fn remove_timeout_async(&self, timeout: Duration) -> RemoveFuture<S, P, T> {
         RemoveFuture::new(
             Arc::clone(&self.shared),
-            self.me,
-            self.seg,
+            self.local.me,
+            self.local.seg,
             Some(Instant::now() + timeout),
         )
     }
@@ -1001,8 +1021,9 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
     /// hint board, and record into this handle's [`stats`](Self::stats),
     /// exactly like [`try_remove`](Self::try_remove).
     pub fn poll_remove(&mut self, cx: &mut Context<'_>) -> Poll<Result<S::Item, RemoveError>> {
-        let shared = Arc::clone(&self.shared);
-        let mut slot = self.poll_slot.take();
+        let Handle { shared, local } = self;
+        let shared: &Shared<S, P, T> = shared;
+        let mut slot = local.poll_slot.take();
         if let Some(ticket) = slot.take() {
             // A re-poll may carry a different waker: retire the previous
             // registration so the current task is the one that wakes.
@@ -1012,11 +1033,11 @@ impl<S: Segment, P: SearchPolicy, T: Timing> Handle<S, P, T> {
         let mut ctl = WaitCtl::new_poll(shared.notifier(), None, cx.waker(), &mut slot);
         let out = crate::core::drive_poll_remove(
             &mut ctl,
-            |ctl| self.try_remove_inner(std::mem::take(&mut overhead), Some(ctl)),
+            |ctl| local.try_remove(shared, std::mem::take(&mut overhead), Some(ctl)),
             || shared.drained(),
             || shared.notifier().is_closed(),
         );
-        self.poll_slot = slot;
+        local.poll_slot = slot;
         out
     }
 }
@@ -1071,17 +1092,17 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         deadline: Option<Instant>,
     ) -> Result<S::Item, RemoveError> {
         assert!(attempts > 0, "a blocking remove needs at least one attempt");
-        // The controller and the driver's snapshots borrow from a local Arc
-        // clone so the handle itself stays mutably borrowable for the
-        // searches.
-        let shared = Arc::clone(&self.shared);
+        // The controller and the driver's snapshots borrow the shared state
+        // while the passes mutate the handle's own half.
+        let Handle { shared, local } = self;
+        let shared: &Shared<S, P, T> = shared;
         let mut ctl = WaitCtl::new(shared.registry.notifier(), wait, attempts, deadline);
         // The per-op overhead is paid by the first pass only; retry passes
         // must not charge it twice.
-        let mut overhead = self.shared.remove_overhead_ns;
+        let mut overhead = shared.remove_overhead_ns;
         crate::core::drive_blocking_remove(
             &mut ctl,
-            |ctl| self.try_remove_inner(std::mem::take(&mut overhead), Some(ctl)),
+            |ctl| local.try_remove(shared, std::mem::take(&mut overhead), Some(ctl)),
             || shared.drained(),
             || shared.registry.notifier().is_closed(),
         )
@@ -1095,9 +1116,11 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         if n == 0 {
             return;
         }
-        let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.add_overhead_ns);
+        let Handle { shared, local } = self;
+        let (me, seg) = (local.me, local.seg);
+        let timer = OpTimer::start(&shared.timing, me, shared.add_overhead_ns);
         let mut donated = 0usize;
-        if let Some(board) = &self.shared.hints {
+        if let Some(board) = &shared.hints {
             // With the hint extension on, searching processes are exactly
             // the ones a batch parked locally cannot feed — donate to them
             // first (same reasoning and charge as `add`), bulk-insert the
@@ -1105,7 +1128,7 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
             let mut kept = Vec::with_capacity(batch.len());
             for item in batch {
                 if board.has_waiters() {
-                    self.shared.timing.charge(self.me, Resource::Shared(HINT_BOARD_RESOURCE));
+                    shared.timing.charge(me, Resource::Shared(HINT_BOARD_RESOURCE));
                     match board.try_donate(item) {
                         Ok(_receiver) => donated += 1,
                         Err(back) => kept.push(back),
@@ -1122,27 +1145,29 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
             // The segment converts the vector to its native transfer
             // currency itself (block segments chunk it straight into
             // recycled blocks under the same lock).
-            self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-            self.shared.segments[self.seg.index()].add_bulk_vec(batch);
-            self.record_trace(self.seg, TraceKind::Add);
+            shared.timing.charge(me, Resource::Segment(seg));
+            shared.segments[seg.index()].add_bulk_vec(batch);
+            shared.record_trace(me, seg, TraceKind::Add);
         }
         // One wakeup per batch (covering mailbox donations too): the
         // elements are published, so every woken waiter's next probe round
         // can find them.
-        self.shared.registry.notifier().notify_all();
-        timer.finish_add_batch(&mut self.stats, n, donated);
+        shared.registry.notifier().notify_all();
+        timer.finish_add_batch(&mut local.stats, n, donated);
     }
 
     fn try_remove_batch(&mut self, n: usize) -> SmallDrain<S::Batch> {
         if n == 0 {
             return SmallDrain::new(S::Batch::empty());
         }
-        let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.remove_overhead_ns);
-        self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-        let mut got = self.shared.segments[self.seg.index()].remove_up_to(n);
+        let Handle { shared, local } = self;
+        let (me, seg) = (local.me, local.seg);
+        let timer = OpTimer::start(&shared.timing, me, shared.remove_overhead_ns);
+        shared.timing.charge(me, Resource::Segment(seg));
+        let mut got = shared.segments[seg.index()].remove_up_to(n);
         if !got.is_empty() {
-            timer.finish_remove_batch(&mut self.stats, got.len());
-            self.record_trace(self.seg, TraceKind::Remove);
+            timer.finish_remove_batch(&mut local.stats, got.len());
+            shared.record_trace(me, seg, TraceKind::Remove);
             return SmallDrain::new(got);
         }
         // Local segment empty: run one ordinary steal search for the first
@@ -1150,13 +1175,13 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
         // with a batch), then top up locally under one more lock. The
         // search accounts itself through its own timer — with zero
         // overhead, since this batch already paid `remove_overhead_ns`.
-        timer.finish_remove_batch(&mut self.stats, 0);
-        if let Ok(first) = self.try_remove_inner(0, None) {
+        timer.finish_remove_batch(&mut local.stats, 0);
+        if let Ok(first) = local.try_remove(shared, 0, None) {
             if n > 1 {
-                let top_up = OpTimer::start(&self.shared.timing, self.me, 0);
-                self.shared.timing.charge(self.me, Resource::Segment(self.seg));
-                let extra = self.shared.segments[self.seg.index()].remove_up_to(n - 1);
-                top_up.finish_remove_batch(&mut self.stats, extra.len());
+                let top_up = OpTimer::start(&shared.timing, me, 0);
+                shared.timing.charge(me, Resource::Segment(seg));
+                let extra = shared.segments[seg.index()].remove_up_to(n - 1);
+                top_up.finish_remove_batch(&mut local.stats, extra.len());
                 got.append(extra);
             }
             // After the append, so the element rides the batch's existing
@@ -1167,18 +1192,19 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
     }
 
     fn drain(&mut self) -> SmallDrain<S::Batch> {
-        let timer = OpTimer::start(&self.shared.timing, self.me, self.shared.remove_overhead_ns);
+        let Handle { shared, local } = self;
+        let timer = OpTimer::start(&shared.timing, local.me, shared.remove_overhead_ns);
         let mut all = S::Batch::empty();
         // Sweep this handle's own magazines and every depot magazine along
         // with the segments: drain is the "give me everything" lifecycle
         // op, so the cached layers are part of "everything". Other
         // handles' caches remain theirs.
-        if let Some(mag) = &mut self.magazine {
+        if let Some(mag) = &mut local.magazine {
             for item in mag.get_mut().take_all() {
                 all.put_one(item);
             }
         }
-        if let Some(depot) = &self.shared.depot {
+        if let Some(depot) = &shared.depot {
             while let Some(mut mag) = depot.take_full() {
                 let n = mag.len();
                 for item in mag.drain(..) {
@@ -1188,24 +1214,24 @@ impl<S: Segment, P: SearchPolicy, T: Timing> PoolOps for Handle<S, P, T> {
                 depot.unstash(n);
             }
         }
-        for (i, seg) in self.shared.segments.iter().enumerate() {
-            self.shared.timing.charge(self.me, Resource::Segment(SegIdx::new(i)));
+        for (i, seg) in shared.segments.iter().enumerate() {
+            shared.timing.charge(local.me, Resource::Segment(SegIdx::new(i)));
             all.append(seg.drain_all());
         }
-        timer.finish_remove_batch(&mut self.stats, all.len());
+        timer.finish_remove_batch(&mut local.stats, all.len());
         SmallDrain::new(all)
     }
 }
 
 impl<S: Segment, P: SearchPolicy, T: Timing> Drop for Handle<S, P, T> {
     fn drop(&mut self) {
-        if let Some(ticket) = self.poll_slot.take() {
+        if let Some(ticket) = self.local.poll_slot.take() {
             self.shared.notifier().cancel_waker(ticket);
         }
         // A retiring handle returns its cached elements to the pool — the
         // magazine layer must never leak elements with the handle.
         self.flush_magazine();
-        self.shared.registry.retire(self.me, std::mem::take(&mut self.stats));
+        self.shared.registry.retire(self.local.me, std::mem::take(&mut self.local.stats));
     }
 }
 
@@ -1349,6 +1375,20 @@ mod tests {
         assert_eq!(h.stats().adds, 2);
         assert_eq!(h.stats().removes, 2);
         assert_eq!(h.stats().steals, 0, "local removes never steal");
+    }
+
+    #[test]
+    fn neighbouring_segments_are_at_least_128_bytes_apart() {
+        // A local operation must write only lines its own process writes:
+        // no cache line, nor x86 adjacent-line pair, spans two segments.
+        let pool: Pool<VecSegment<u64>, LinearSearch> = PoolBuilder::new(4).build();
+        for pair in pool.shared.segments.windows(2) {
+            let this: &VecSegment<u64> = &pair[0];
+            let next: &VecSegment<u64> = &pair[1];
+            let end = this as *const VecSegment<u64> as usize + std::mem::size_of_val(this);
+            let gap = next as *const VecSegment<u64> as usize - end;
+            assert!(gap >= 128, "only {gap} bytes between neighbouring segments");
+        }
     }
 
     #[test]

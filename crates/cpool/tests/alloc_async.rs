@@ -1,10 +1,11 @@
-//! The async layer's steady-state guarantee: **register / wake /
-//! re-register cycles perform zero heap allocations** — at the notifier,
-//! at a single polled future, and across a fleet's wake→re-poll dispatch.
+//! The wait layer's steady-state guarantee: **register / wake /
+//! re-register cycles perform zero heap allocations** — at the notifier
+//! (for parked threads and task wakers), at a single polled future, and
+//! across a fleet's wake→re-poll dispatch.
 //!
-//! Waker-list shells recycle through the notifier's free list (a
-//! `notify_all` swaps the registered wakers into a recycled vector and
-//! returns it after delivery), future construction is plain owned data
+//! Wait-list shells recycle through the notifier's free list (a
+//! `notify_all` swaps the registered parkers and wakers into a recycled
+//! shell and returns it after delivery), future construction is plain owned data
 //! (`ProcStats` histograms are fixed arrays, the linear policy state is
 //! `Copy`), and the fleet driver reuses its ready-queue and scratch
 //! buffers — so once warmed, an async consumer adds no allocator traffic
@@ -17,46 +18,44 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use cpool::prelude::*;
+use cpool::WaitOutcome;
 
 /// Counts allocator hits (alloc + realloc) from the armed thread.
 struct CountingAlloc;
 
-static HITS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    // `const` init: reading this inside the allocator performs no lazy
-    // initialization and therefore cannot itself allocate or recurse.
+    // `const` init: reading these inside the allocator performs no lazy
+    // initialization and therefore cannot itself allocate or recurse. The
+    // count is per thread too, so tests running in parallel in this
+    // binary cannot add to each other's counts.
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static HITS: Cell<usize> = const { Cell::new(0) };
 }
 
-fn armed() -> bool {
-    ARMED.with(Cell::get)
+/// Counts one allocator hit if this thread is armed.
+fn hit() {
+    if ARMED.with(Cell::get) {
+        HITS.with(|hits| hits.set(hits.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            HITS.fetch_add(1, Ordering::Relaxed);
-        }
+        hit();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            HITS.fetch_add(1, Ordering::Relaxed);
-        }
+        hit();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            HITS.fetch_add(1, Ordering::Relaxed);
-        }
+        hit();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -71,11 +70,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Runs `op` with this thread's counter armed and returns the number of
 /// allocator hits it caused.
 fn count_allocs(op: impl FnOnce()) -> usize {
-    HITS.store(0, Ordering::SeqCst);
+    HITS.with(|hits| hits.set(0));
     ARMED.with(|armed| armed.set(true));
     op();
     ARMED.with(|armed| armed.set(false));
-    HITS.load(Ordering::SeqCst)
+    HITS.with(Cell::get)
 }
 
 const WARMUP_ROUNDS: usize = 50;
@@ -123,6 +122,42 @@ fn notifier_register_wake_reregister_allocates_nothing() {
         hits, 0,
         "steady-state register/cancel/notify cycle must not allocate \
          ({MEASURED_ROUNDS} rounds of {WAITERS} wakers)"
+    );
+}
+
+/// The parking half of the notifier: a thread that registers, parks, is
+/// woken and parks again allocates nothing once warmed. A drain hands the
+/// parked list out in a recycled shell and swaps a warmed one in, so the
+/// next park's registration never has to grow an empty vector.
+#[test]
+fn park_wake_cycle_allocates_nothing() {
+    let notifier = Notifier::default();
+    let park_once = |notifier: &Notifier| {
+        let mut waiter = notifier.waiter();
+        assert_eq!(waiter.wait(None), WaitOutcome::Signalled);
+    };
+    let hits = std::thread::scope(|s| {
+        // The signaller wakes exactly one registered park per cycle.
+        s.spawn(|| {
+            for _ in 0..WARMUP_ROUNDS + MEASURED_ROUNDS {
+                while notifier.parked() == 0 {
+                    std::thread::yield_now();
+                }
+                notifier.notify_all();
+            }
+        });
+        for _ in 0..WARMUP_ROUNDS {
+            park_once(&notifier);
+        }
+        count_allocs(|| {
+            for _ in 0..MEASURED_ROUNDS {
+                park_once(&notifier);
+            }
+        })
+    });
+    assert_eq!(
+        hits, 0,
+        "steady-state park/wake cycle must not allocate ({MEASURED_ROUNDS} cycles)"
     );
 }
 
