@@ -804,115 +804,6 @@ pub mod contention {
     }
 }
 
-/// Keyed-pool kernels under skewed key traffic — the uniform-vs-Zipfian
-/// matrix behind `BENCH_zipf.json` (`cargo run --release -p bench --bin
-/// zipf`).
-pub mod keyed {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Barrier;
-    use std::time::Instant;
-
-    use cpool::{KeyedPool, KeyedPoolBuilder};
-    use workload::{KeyDist, KeyStream};
-
-    use crate::contention::best_of;
-
-    /// Distinct keys each cell's streams draw from. Large enough that a
-    /// Zipf(1.1) head is a *small* fraction of the buckets (splitting one
-    /// bucket must matter because of traffic, not key-space coverage),
-    /// small enough that uniform traffic keeps every bucket warm.
-    pub const KEY_SPACE: u64 = 512;
-
-    /// Prefill per key per segment: the buffer that keeps the paired
-    /// add→remove traffic from ever draining a key to zero (a keyed
-    /// remove of a globally absent key searches until traffic for that
-    /// key reappears, which would measure the wait, not the operation).
-    pub const PREFILL_PER_KEY: usize = 4;
-
-    /// One cell: `threads` workers over a `segments`-segment keyed pool,
-    /// each performing `warmup` untimed and then `pairs` timed
-    /// add(key)+remove(key) pairs with the key drawn per pair from
-    /// `dist`. Returns wall-clock nanoseconds per timed *operation* (two
-    /// per pair), slowest thread, like
-    /// [`contention::pool_round`](crate::contention::pool_round).
-    ///
-    /// `hotkey` toggles the adaptive hot-key machinery at its default
-    /// knobs against a plain-bucket baseline — everything else (streams,
-    /// seeds, prefill) is identical, so the delta is the subsystem. The
-    /// warmup exists for the `hotkey` variant's sake: detection is
-    /// sampled, so promotion of the mid-rank hot keys takes tens of
-    /// thousands of operations, and timing that transient would mix two
-    /// regimes into one number. The row prices the *steady state* — the
-    /// regime a long-running pool lives in.
-    pub fn keyed_round(
-        threads: usize,
-        segments: usize,
-        warmup: u64,
-        pairs: u64,
-        dist: KeyDist,
-        hotkey: bool,
-    ) -> f64 {
-        let builder = KeyedPoolBuilder::new(segments);
-        let builder = if hotkey { builder } else { builder.hot_keys_disabled() };
-        let pool: KeyedPool<u64, u64> = builder.build();
-        // Per-segment prefill of the whole key space: every remove finds
-        // its key without cross-key searching, whatever the skew.
-        for _ in 0..segments {
-            let mut h = pool.register();
-            for key in 0..KEY_SPACE {
-                for i in 0..PREFILL_PER_KEY {
-                    h.add(key, i as u64);
-                }
-            }
-        }
-        let start = Barrier::new(threads);
-        let timed = Barrier::new(threads);
-        let slowest_ns = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let mut handle = pool.register();
-                let (start, timed, slowest_ns) = (&start, &timed, &slowest_ns);
-                let mut keys = dist.stream(0x5EED ^ t as u64);
-                s.spawn(move || {
-                    start.wait();
-                    for i in 0..warmup {
-                        let key = keys.next_key();
-                        handle.add(key, i);
-                        let _ = handle.try_remove_key(&key);
-                    }
-                    // Re-align after warmup so the timed sections overlap.
-                    timed.wait();
-                    let t0 = Instant::now();
-                    for i in 0..pairs {
-                        let key = keys.next_key();
-                        handle.add(key, i);
-                        let _ = handle.try_remove_key(&key);
-                    }
-                    // Deregister before reporting (see `pool_round`): an
-                    // idle straggler would strand the last searcher on the
-                    // §3.2 gate.
-                    drop(handle);
-                    slowest_ns.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                });
-            }
-        });
-        slowest_ns.load(Ordering::Relaxed) as f64 / (pairs * 2) as f64
-    }
-
-    /// [`keyed_round`] floored over `repeat` runs.
-    pub fn keyed_cell(
-        repeat: usize,
-        threads: usize,
-        segments: usize,
-        warmup: u64,
-        pairs: u64,
-        dist: KeyDist,
-        hotkey: bool,
-    ) -> f64 {
-        best_of(repeat, || keyed_round(threads, segments, warmup, pairs, dist, hotkey))
-    }
-}
-
 /// Host-parallelism probe shared by the JSON-emitting bench binaries.
 ///
 /// Every committed `BENCH_*.json` records the host it was measured on:

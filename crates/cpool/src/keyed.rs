@@ -27,8 +27,9 @@
 //! with per-key emptiness (a subtree empty *for key A* is not empty for
 //! key B, so one shared counter per node would mislead other keys'
 //! searches — one tree per key would cost `k · n` counters). Each process
-//! remembers where it last found each key, the keyed analogue of
-//! `LastFound`.
+//! remembers where a search last found each key, the keyed analogue of
+//! `LastFound`; like bucket residency, these cursors are bounded (64 keys
+//! per handle, then the map is cleared and searches restart at home).
 //!
 //! Transfers ride the same batch-typed machinery as the plain pool
 //! ([`transfer`](crate::transfer)): steals fill a recycled vector shell
@@ -50,36 +51,18 @@
 //! [`Pool`](crate::Pool) runs — so this module only supplies the keyed
 //! element model and the per-key search cursors.
 //!
-//! # Hot keys
+//! # Skewed keys
 //!
-//! Uniform key traffic spreads naturally over segments, but a Zipfian
-//! stream funnels most operations through one or two buckets, and every
-//! producer and consumer of a hot key then serializes on the owning
-//! segment's lock. The keyed frontend reacts adaptively:
-//!
-//! * a pool-wide sampled frequency detector ([`hotkey`](crate::hotkey))
-//!   watches one in `sample_every` operations per handle;
-//! * when a key's share of the sample window crosses the promote
-//!   threshold, its bucket is **split** into `K` independently locked
-//!   sub-shards (`HotBucket`, crate-internal): adds rotate across sub-shards, removes
-//!   drain any, and handles cache the split bucket so hot-key traffic
-//!   bypasses the segment lock entirely;
-//! * steal-half applies **sub-shard-wise** (⌈n/2⌉ of each sub-shard, one
-//!   shard lock at a time, never the segment lock), filling the same
-//!   recycled transfer shells as plain steals — the zero-copy batch
-//!   currency and the alloc-free steady state are preserved;
-//! * the largest-bucket victim policy for anonymous steals becomes
-//!   **heat-weighted**: victims rank by `len × (1 + boost · heat)`, so
-//!   thieves relieve the actual contention point, not just the deepest
-//!   bucket;
-//! * when the detector's window shows the key has cooled below the demote
-//!   threshold (hysteresis — see [`HotKeyConfig`]), the sub-shards are
-//!   **merged back** into a plain bucket. Close/timeout semantics are
-//!   unaffected: segment occupancy counts include sub-shard contents, so
-//!   drained snapshots and wake filters see through a split.
+//! Under Zipfian key traffic a few buckets carry most operations, and
+//! every handle homed on one segment serializes on that segment's lock.
+//! The answer is the paper's own: give each handle its own segment (as
+//! many segments as handles), so a hot key's local adds and removes never
+//! share a lock. A keyed remove served by its home segment touches only
+//! that segment's bucket — no search cursor is read or written — so the
+//! plain bucket path carries skewed traffic by itself.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -87,7 +70,6 @@ use parking_lot::Mutex;
 
 use crate::core::{OpTimer, Registry, SearchSession, Slot, WaitCtl};
 use crate::error::RemoveError;
-use crate::hotkey::{HotKeyConfig, HotKeyDetector};
 use crate::ids::{ProcId, SegIdx};
 use crate::magazine::{CacheOutcome, Depot, MagazineCache, PopOutcome};
 use crate::notify::Notifier;
@@ -108,202 +90,40 @@ impl<K: Ord + Clone + Send + 'static> Key for K {}
 /// ([`KeyedSegment::remove_any`]) walk past resident empties, so an
 /// unbounded ephemeral-key workload would otherwise degrade every remove
 /// (and its lock hold time) linearly with the keys ever seen. Live
-/// (non-empty) buckets never count against the bound.
+/// (non-empty) buckets never count against the bound. The same number caps
+/// each handle's per-key search cursors.
 const RESIDENT_BUCKETS_MAX: usize = 64;
 
-/// Weight of observed heat in the anonymous-steal victim ranking: buckets
-/// score `len × (1 + HEAT_STEAL_BOOST × heat)` with heat in `[0, 1]`, so a
-/// bucket drawing the whole sample window outranks a cold bucket up to
-/// five times its size — thieves relieve the contention point, not merely
-/// the deepest bucket. With no detector (or no samples) every heat is 0
-/// and the ranking degenerates to the original largest-bucket rule.
-const HEAT_STEAL_BOOST: f64 = 4.0;
-
-/// Entries a handle's hot-bucket cache may hold before it is reset; the
-/// cache repopulates from sampled operations, so a reset only costs a few
-/// slow-path (segment-locked) operations per hot key.
-const HOT_CACHE_MAX: usize = 16;
-
-/// One in this many *sampled* operations also runs the hysteresis
-/// (demote) sweep. The sweep locks the segment and probes the detector
-/// once per split bucket; heat decay only needs to be eventual, so it
-/// runs at `sample_every × SWEEP_EVERY_SAMPLES` op granularity per
-/// handle rather than on every sample.
-const SWEEP_EVERY_SAMPLES: u32 = 8;
-
-/// One bucket: a plain vector, or — once promoted by the hot-key detector
-/// — `K` independently locked sub-shards.
-enum Bucket<V> {
-    Plain(Vec<V>),
-    Hot(Arc<HotBucket<V>>),
-}
-
-impl<V> Bucket<V> {
-    fn len(&self) -> usize {
-        match self {
-            Bucket::Plain(bucket) => bucket.len(),
-            Bucket::Hot(hot) => hot.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A promoted (split) bucket: `K` sub-shards, each behind its own lock, so
-/// hot-key producers and consumers stop serializing on one vector — and,
-/// via the handles' caches, on the segment lock itself. The cached total
-/// makes emptiness probes lock-free. Handles address sub-shards by their
-/// process slot (affinity: distinct processes, distinct shards, and a
-/// process's pops probe its own pushes' shard first); segment-internal
-/// routed operations rotate via the cursors so the shards stay balanced
-/// without coordination.
+/// The bucket map plus an exact count of its resident *empty* buckets,
+/// kept in lockstep so the residency policy never has to scan, and the
+/// eviction counter the pool aggregates into [`PoolCounters`].
 ///
-/// Demotion (and teardown) *seals* each sub-shard under its lock; a sealed
-/// shard refuses pushes and reports pops as sealed, which tells stale
-/// cached handles to drop the reference and retake the segment-locked
-/// path. Elements only ever move under a shard lock, so a split or merge
-/// racing live traffic can neither lose nor duplicate them.
-struct HotBucket<V> {
-    shards: Box<[Shard<V>]>,
-    add_cursor: AtomicUsize,
-    remove_cursor: AtomicUsize,
-}
-
-/// One sub-shard: the element vector behind its own lock, flanked by two
-/// lock-free mirrors so the fast paths and occupancy probes never touch a
-/// lock they don't need. Padded to a cache line: sub-shards sit adjacent
-/// in one slab, and the whole point of the split is that processes on
-/// different shards stop invalidating each other's lines.
-#[repr(align(64))]
-struct Shard<V> {
-    items: Mutex<Vec<V>>,
-    /// `items.len()` mirror, written with a plain store while the shard
-    /// lock is held (one writer at a time, so no read-modify-write): pops
-    /// skip empty shards and occupancy sums read it without locking.
-    len: AtomicUsize,
-    /// Sticky seal flag, set under the shard lock by demotion/teardown
-    /// (a `HotBucket` is never unsealed — promotion builds a fresh one),
-    /// so the lock-free read can trust `true` outright; `false` is
-    /// re-checked under the lock before mutating.
-    sealed: AtomicBool,
-}
-
-impl<V> HotBucket<V> {
-    /// Builds a `k`-shard bucket, dealing `items` round-robin so the
-    /// shards start balanced. `k` is rounded up to a power of two so
-    /// shard selection is a mask, not a hardware divide — the selection
-    /// runs on every hot-path operation.
-    fn new(k: usize, items: Vec<V>) -> Self {
-        let k = k.next_power_of_two();
-        let mut dealt: Vec<Vec<V>> = (0..k).map(|_| Vec::new()).collect();
-        for (i, value) in items.into_iter().enumerate() {
-            dealt[i % k].push(value);
-        }
-        HotBucket {
-            shards: dealt
-                .into_iter()
-                .map(|items| Shard {
-                    len: AtomicUsize::new(items.len()),
-                    sealed: AtomicBool::new(false),
-                    items: Mutex::new(items),
-                })
-                .collect(),
-            add_cursor: AtomicUsize::new(0),
-            remove_cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Shard-index mask: the shard count is always a power of two, so
-    /// `index & mask()` replaces `index % len` on the hot paths.
-    fn mask(&self) -> usize {
-        self.shards.len() - 1
-    }
-
-    /// Occupancy: the sum of the per-shard mirrors. Exact when quiescent,
-    /// momentarily stale against in-flight shard operations — callers
-    /// treat it as a hint (steal sizing, emptiness scans that re-check).
-    fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.len.load(Ordering::Acquire)).sum()
-    }
-}
-
-/// Outcome of a pop attempt against a [`HotBucket`].
-enum HotPop<V> {
-    Got(V),
-    /// Every sub-shard was empty (and unsealed): the bucket holds nothing.
-    Empty,
-    /// A sealed sub-shard was seen: the bucket is being (or has been)
-    /// demoted — retake the segment-locked path.
-    Sealed,
-}
-
-/// The bucket map plus an exact count of its resident *empty* plain
-/// buckets, kept in lockstep so the residency policy never has to scan,
-/// and the segment-local event counters the pool aggregates into
-/// [`PoolCounters`]. Hot buckets never count as empties: they stay
-/// resident (and split) until the detector demotes them.
+/// [`PoolCounters`]: crate::stats::PoolCounters
 struct Buckets<K, V> {
-    map: BTreeMap<K, Bucket<V>>,
+    map: BTreeMap<K, Vec<V>>,
     empties: usize,
     resident_max: usize,
     evictions: u64,
-    promotions: u64,
-    demotions: u64,
-    /// The keys currently split, kept in lockstep with `map` so the
-    /// hysteresis sweep touches only the (few) hot buckets instead of
-    /// scanning the whole key space on every sampled operation.
-    hot_keys: Vec<K>,
 }
 
 impl<K: Key, V> Buckets<K, V> {
-    /// Routes an add under the segment lock: plain (or new) buckets take
-    /// the value here; a hot bucket hands back its split handle so the
-    /// push happens under a sub-shard lock instead.
-    #[allow(clippy::type_complexity)]
-    fn route_add(&mut self, key: K, value: V) -> Result<(), (K, Arc<HotBucket<V>>, V)> {
-        if let Some(bucket) = self.map.get_mut(&key) {
-            match bucket {
-                Bucket::Plain(bucket) => {
-                    if bucket.is_empty() {
-                        self.empties -= 1;
-                    }
-                    bucket.push(value);
-                }
-                Bucket::Hot(hot) => return Err((key, Arc::clone(hot), value)),
-            }
-            return Ok(());
-        }
-        self.map.insert(key, Bucket::Plain(vec![value]));
-        Ok(())
-    }
-
-    /// The plain bucket for `key`, creating it if absent and fixing the
-    /// empties count if a resident empty bucket is being brought back into
-    /// use. Callers route hot buckets away first.
-    fn plain_bucket_for(&mut self, key: K) -> &mut Vec<V> {
+    /// The bucket for `key`, creating it if absent and fixing the empties
+    /// count if a resident empty bucket is being brought back into use.
+    fn bucket_for(&mut self, key: K) -> &mut Vec<V> {
         match self.map.entry(key) {
-            std::collections::btree_map::Entry::Occupied(entry) => match entry.into_mut() {
-                Bucket::Plain(bucket) => {
-                    if bucket.is_empty() {
-                        self.empties -= 1;
-                    }
-                    bucket
+            std::collections::btree_map::Entry::Occupied(entry) => {
+                let bucket = entry.into_mut();
+                if bucket.is_empty() {
+                    self.empties -= 1;
                 }
-                Bucket::Hot(_) => unreachable!("hot buckets are routed before plain_bucket_for"),
-            },
-            std::collections::btree_map::Entry::Vacant(entry) => {
-                match entry.insert(Bucket::Plain(Vec::new())) {
-                    Bucket::Plain(bucket) => bucket,
-                    Bucket::Hot(_) => unreachable!("entry was just inserted as Plain"),
-                }
+                bucket
             }
+            std::collections::btree_map::Entry::Vacant(entry) => entry.insert(Vec::new()),
         }
     }
 
-    /// The residency policy in one place: a plain bucket that an operation
-    /// just emptied stays resident (capacity + map node reuse) unless the
+    /// The residency policy in one place: a bucket that an operation just
+    /// emptied stays resident (capacity + map node reuse) unless the
     /// segment already hoards `resident_max` empty buckets, in which case
     /// it is evicted (and counted).
     fn settle_emptied(&mut self, key: &K, emptied: bool) {
@@ -316,65 +136,6 @@ impl<K: Key, V> Buckets<K, V> {
         } else {
             self.empties += 1;
         }
-    }
-
-    /// Splits `key`'s bucket into `k` sub-shards (idempotent: an already
-    /// split bucket just returns its handle; an absent key splits an empty
-    /// bucket pre-emptively). Elements move under the segment lock, so no
-    /// operation can observe the key mid-split.
-    fn promote(&mut self, key: &K, k: usize) -> Arc<HotBucket<V>> {
-        let items = match self.map.get_mut(key) {
-            Some(Bucket::Hot(hot)) => return Arc::clone(hot),
-            Some(Bucket::Plain(bucket)) => {
-                if bucket.is_empty() {
-                    self.empties -= 1;
-                }
-                std::mem::take(bucket)
-            }
-            None => Vec::new(),
-        };
-        let hot = Arc::new(HotBucket::new(k, items));
-        self.map.insert(key.clone(), Bucket::Hot(Arc::clone(&hot)));
-        self.hot_keys.push(key.clone());
-        self.promotions += 1;
-        hot
-    }
-
-    /// Merges `key`'s sub-shards back into a plain bucket, sealing each
-    /// shard under its lock so stale cached handles fall back to the
-    /// segment-locked path (which now sees the plain bucket). An emptied
-    /// hot bucket lands under the normal residency policy.
-    fn demote(&mut self, key: &K) -> bool {
-        let hot = match self.map.get(key) {
-            Some(Bucket::Hot(hot)) => Arc::clone(hot),
-            _ => return false,
-        };
-        let mut merged: Vec<V> = Vec::new();
-        for shard in hot.shards.iter() {
-            let mut items = shard.items.lock();
-            shard.sealed.store(true, Ordering::Release);
-            shard.len.store(0, Ordering::Release);
-            if merged.is_empty() {
-                // Reuse the first non-empty shard's grown capacity.
-                merged = std::mem::take(&mut items);
-            } else {
-                merged.append(&mut items);
-            }
-        }
-        self.hot_keys.retain(|k| k != key);
-        self.demotions += 1;
-        if merged.is_empty() {
-            self.map.remove(key);
-            if self.empties >= self.resident_max {
-                self.evictions += 1;
-            } else {
-                self.map.insert(key.clone(), Bucket::Plain(merged));
-                self.empties += 1;
-            }
-        } else {
-            self.map.insert(key.clone(), Bucket::Plain(merged));
-        }
-        true
     }
 }
 
@@ -390,18 +151,9 @@ impl<K: Key, V> Buckets<K, V> {
 /// (ephemeral-key workloads trade the allocation-free property for bounded
 /// scans); [`drain_all`](Self::drain_all) releases everything. All
 /// occupancy checks skip empty buckets.
-///
-/// Hot (split) buckets are handled in two halves: locating one takes the
-/// segment lock briefly (or no lock at all, via a handle's cache), while
-/// the actual element movement happens under the sub-shard locks — see
-/// [`HotBucket`].
 struct KeyedSegment<K, V> {
     buckets: Mutex<Buckets<K, V>>,
     len: AtomicUsize,
-    /// Lock-free mirror of `buckets.hot_keys.len()` (written while the
-    /// buckets lock is held): the hysteresis sweep's early-out, so a
-    /// segment with no split buckets pays one relaxed load per sample.
-    hot_gauge: AtomicUsize,
 }
 
 impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
@@ -412,12 +164,8 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
                 empties: 0,
                 resident_max,
                 evictions: 0,
-                promotions: 0,
-                demotions: 0,
-                hot_keys: Vec::new(),
             }),
             len: AtomicUsize::new(0),
-            hot_gauge: AtomicUsize::new(0),
         }
     }
 
@@ -426,182 +174,21 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
     }
 
     fn key_len(&self, key: &K) -> usize {
-        self.buckets.lock().map.get(key).map_or(0, Bucket::len)
-    }
-
-    /// Pushes into one sub-shard of a hot bucket, without the segment
-    /// lock. `at` picks the shard (mod the shard count): handles pass
-    /// their process slot, so concurrent processes land on distinct
-    /// shards and a process's own pops find its pushes first; routed
-    /// segment-internal adds rotate via the bucket's cursor instead.
-    /// `Err` hands the value back when the shard is sealed — a demotion
-    /// raced; retake the routed path, which now sees a plain bucket.
-    fn hot_push(&self, hot: &HotBucket<V>, value: V, at: usize) -> Result<(), V> {
-        let shard = &hot.shards[at & hot.mask()];
-        let mut items = shard.items.lock();
-        if shard.sealed.load(Ordering::Relaxed) {
-            return Err(value);
-        }
-        items.push(value);
-        // Both occupancy mirrors move while the shard lock is held, so a
-        // demotion or drain that later seals this shard observes them.
-        shard.len.store(items.len(), Ordering::Release);
-        self.len.fetch_add(1, Ordering::AcqRel);
-        Ok(())
-    }
-
-    /// Pops from the first non-empty sub-shard, probing every shard in
-    /// ring order from `start` (removes drain any sub-shard), without the
-    /// segment lock. Handles start at their process slot — the shard
-    /// their own pushes land on — so the steady-state pop is a single
-    /// lock acquisition; segment-internal removes rotate via the bucket's
-    /// cursor.
-    fn hot_pop(&self, hot: &HotBucket<V>, start: usize) -> HotPop<V> {
-        let mask = hot.mask();
-        let mut saw_sealed = false;
-        for i in 0..hot.shards.len() {
-            let shard = &hot.shards[(start + i) & mask];
-            // Lock-free pre-checks: a sealed flag is sticky, and an empty
-            // shard's len mirror says so — neither needs the lock (a push
-            // racing past the mirror read linearizes after this pop).
-            if shard.sealed.load(Ordering::Acquire) {
-                saw_sealed = true;
-                continue;
-            }
-            if shard.len.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let mut items = shard.items.lock();
-            if shard.sealed.load(Ordering::Relaxed) {
-                saw_sealed = true;
-                continue;
-            }
-            if let Some(value) = items.pop() {
-                shard.len.store(items.len(), Ordering::Release);
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return HotPop::Got(value);
-            }
-        }
-        if saw_sealed {
-            HotPop::Sealed
-        } else {
-            HotPop::Empty
-        }
-    }
-
-    /// Deals a bulk refill across unsealed sub-shards in balanced chunks.
-    /// Returns `false` — with the undelivered remainder left in `values` —
-    /// only when every sub-shard is sealed (a demotion raced).
-    fn hot_push_bulk(&self, hot: &HotBucket<V>, values: &mut Vec<V>) -> bool {
-        let k = hot.shards.len();
-        let start = hot.add_cursor.fetch_add(1, Ordering::Relaxed) % k;
-        let per = values.len().div_ceil(k).max(1);
-        let mut pushed = 0;
-        let mut progressed = true;
-        while !values.is_empty() && progressed {
-            progressed = false;
-            for i in 0..k {
-                if values.is_empty() {
-                    break;
-                }
-                let shard = &hot.shards[(start + i) % k];
-                let mut items = shard.items.lock();
-                if shard.sealed.load(Ordering::Relaxed) {
-                    continue;
-                }
-                let take = per.min(values.len());
-                let at = values.len() - take;
-                items.extend(values.drain(at..));
-                shard.len.store(items.len(), Ordering::Release);
-                self.len.fetch_add(take, Ordering::AcqRel);
-                pushed += take;
-                progressed = true;
-            }
-        }
-        let _ = pushed;
-        values.is_empty()
-    }
-
-    /// Steal-half, sub-shard-wise: ⌈s/2⌉ of *each* unsealed sub-shard
-    /// (`s` = its size), one shard lock at a time and never the segment
-    /// lock, into one transfer shell — so a hot victim keeps serving its
-    /// other sub-shards while being robbed.
-    fn hot_steal_half(&self, hot: &HotBucket<V>, shells: &FreeList<Vec<V>>) -> Vec<V> {
-        let expected = steal_count(hot.len());
-        if expected == 0 {
-            return Vec::new();
-        }
-        let mut stolen = if expected < SHELL_SPILL_MIN {
-            Vec::with_capacity(expected)
-        } else {
-            shells.take().unwrap_or_default()
-        };
-        for shard in hot.shards.iter() {
-            if shard.sealed.load(Ordering::Acquire) || shard.len.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let mut items = shard.items.lock();
-            if shard.sealed.load(Ordering::Relaxed) {
-                continue;
-            }
-            let take = steal_count(items.len());
-            if take == 0 {
-                continue;
-            }
-            let at = items.len() - take;
-            stolen.extend(items.drain(at..));
-            shard.len.store(items.len(), Ordering::Release);
-            self.len.fetch_sub(take, Ordering::AcqRel);
-        }
-        stolen
+        self.buckets.lock().map.get(key).map_or(0, Vec::len)
     }
 
     fn add(&self, key: K, value: V) {
-        let mut key = key;
-        let mut value = value;
-        loop {
-            let (k, hot, v) = {
-                let mut buckets = self.buckets.lock();
-                match buckets.route_add(key, value) {
-                    Ok(()) => {
-                        self.len.fetch_add(1, Ordering::AcqRel);
-                        return;
-                    }
-                    Err(routed) => routed,
-                }
-            };
-            let at = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
-            match self.hot_push(&hot, v, at) {
-                Ok(()) => return,
-                // Sealed: the bucket was demoted between routing and the
-                // push — the retried route lands in the plain bucket.
-                Err(v) => {
-                    key = k;
-                    value = v;
-                }
-            }
-        }
+        let mut buckets = self.buckets.lock();
+        buckets.bucket_for(key).push(value);
+        self.len.fetch_add(1, Ordering::AcqRel);
     }
 
     fn add_bulk(&self, key: &K, mut values: Vec<V>, shells: &FreeList<Vec<V>>) {
-        while !values.is_empty() {
-            let hot = {
-                let mut buckets = self.buckets.lock();
-                match buckets.map.get(key) {
-                    Some(Bucket::Hot(hot)) => Arc::clone(hot),
-                    _ => {
-                        let n = values.len();
-                        buckets.plain_bucket_for(key.clone()).append(&mut values);
-                        self.len.fetch_add(n, Ordering::AcqRel);
-                        break;
-                    }
-                }
-            };
-            // Sub-shard-wise refill, off the segment lock; a raced
-            // demotion (all shards sealed) loops back to the plain path.
-            if self.hot_push_bulk(&hot, &mut values) {
-                break;
-            }
+        if !values.is_empty() {
+            let mut buckets = self.buckets.lock();
+            let n = values.len();
+            buckets.bucket_for(key.clone()).append(&mut values);
+            self.len.fetch_add(n, Ordering::AcqRel);
         }
         // The drained transfer shell goes back to the pool for the next
         // bulk steal (lock released first; recycling needs no segment
@@ -613,76 +200,40 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
     }
 
     fn remove_any(&self) -> Option<(K, V)> {
-        loop {
-            let (key, hot) = {
-                let mut buckets = self.buckets.lock();
-                // First *non-empty* key in order: deterministic; empty
-                // buckets are resident capacity, not occupancy.
-                let (key, bucket) =
-                    buckets.map.iter_mut().find(|(_, bucket)| !bucket.is_empty())?;
-                let key = key.clone();
-                match bucket {
-                    Bucket::Plain(bucket) => {
-                        let value = bucket.pop().expect("bucket observed non-empty");
-                        let emptied = bucket.is_empty();
-                        buckets.settle_emptied(&key, emptied);
-                        self.len.fetch_sub(1, Ordering::AcqRel);
-                        return Some((key, value));
-                    }
-                    Bucket::Hot(hot) => (key, Arc::clone(hot)),
-                }
-            };
-            let start = hot.remove_cursor.fetch_add(1, Ordering::Relaxed);
-            match self.hot_pop(&hot, start) {
-                HotPop::Got(value) => return Some((key, value)),
-                // Raced empty or mid-demotion: rescan — the occupancy
-                // mirror has moved on, so the scan converges.
-                HotPop::Empty | HotPop::Sealed => continue,
-            }
-        }
+        let mut buckets = self.buckets.lock();
+        // First *non-empty* key in order: deterministic; empty buckets are
+        // resident capacity, not occupancy.
+        let (key, bucket) = buckets.map.iter_mut().find(|(_, bucket)| !bucket.is_empty())?;
+        let value = bucket.pop().expect("bucket observed non-empty");
+        let key = key.clone();
+        let emptied = bucket.is_empty();
+        buckets.settle_emptied(&key, emptied);
+        self.len.fetch_sub(1, Ordering::AcqRel);
+        Some((key, value))
     }
 
     fn remove_key(&self, key: &K) -> Option<V> {
-        loop {
-            let hot = {
-                let mut buckets = self.buckets.lock();
-                match buckets.map.get_mut(key)? {
-                    Bucket::Plain(bucket) => {
-                        let value = bucket.pop()?;
-                        let emptied = bucket.is_empty();
-                        buckets.settle_emptied(key, emptied);
-                        self.len.fetch_sub(1, Ordering::AcqRel);
-                        return Some(value);
-                    }
-                    Bucket::Hot(hot) => Arc::clone(hot),
-                }
-            };
-            let start = hot.remove_cursor.fetch_add(1, Ordering::Relaxed);
-            match self.hot_pop(&hot, start) {
-                HotPop::Got(value) => return Some(value),
-                HotPop::Empty => return None,
-                // Demotion moved the elements back to a plain bucket.
-                HotPop::Sealed => continue,
-            }
-        }
+        let mut buckets = self.buckets.lock();
+        let bucket = buckets.map.get_mut(key)?;
+        let value = bucket.pop()?;
+        let emptied = bucket.is_empty();
+        buckets.settle_emptied(key, emptied);
+        self.len.fetch_sub(1, Ordering::AcqRel);
+        Some(value)
     }
 
-    /// The shared tail of both keyed steals *for plain buckets*: drains
-    /// ⌈b/2⌉ of `key`'s bucket into a transfer vector (a recycled shell
-    /// for bulk steals; tiny ones take the allocator's small-size fast
-    /// path instead of a free-list round trip), settles bucket residency,
-    /// and fixes the cached length. `None` if the bucket is absent, empty,
-    /// or hot (callers route hot buckets to
-    /// [`hot_steal_half`](Self::hot_steal_half)).
+    /// The shared tail of both keyed steals: drains ⌈b/2⌉ of `key`'s
+    /// bucket into a transfer vector (a recycled shell for bulk steals;
+    /// tiny ones take the allocator's small-size fast path instead of a
+    /// free-list round trip), settles bucket residency, and fixes the
+    /// cached length. `None` if the bucket is absent or empty.
     fn steal_tail(
         &self,
         buckets: &mut Buckets<K, V>,
         key: &K,
         shells: &FreeList<Vec<V>>,
     ) -> Option<Vec<V>> {
-        let Bucket::Plain(bucket) = buckets.map.get_mut(key)? else {
-            return None;
-        };
+        let bucket = buckets.map.get_mut(key)?;
         let take = steal_count(bucket.len());
         if take == 0 {
             return None;
@@ -701,100 +252,47 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
     }
 
     /// Steals ⌈b/2⌉ of the `key` bucket (`b` = its size), filling a
-    /// recycled transfer shell. Hot buckets are robbed sub-shard-wise,
-    /// off the segment lock.
+    /// recycled transfer shell.
     fn steal_half_key(&self, key: &K, shells: &FreeList<Vec<V>>) -> Vec<V> {
-        let hot = {
-            let mut buckets = self.buckets.lock();
-            match buckets.map.get(key) {
-                Some(Bucket::Hot(hot)) => Arc::clone(hot),
-                _ => return self.steal_tail(&mut buckets, key, shells).unwrap_or_default(),
-            }
-        };
-        self.hot_steal_half(&hot, shells)
+        let mut buckets = self.buckets.lock();
+        self.steal_tail(&mut buckets, key, shells).unwrap_or_default()
     }
 
-    /// Steals ⌈b/2⌉ of the highest-scoring non-empty bucket (ties:
-    /// smallest key), returning the key alongside the elements. The score
-    /// is heat-weighted occupancy — `len × (1 + boost × heat)` — so under
-    /// skew the *contended* bucket is robbed, which both balances load and
-    /// seeds the thief's own reserve of the key most likely to be asked
-    /// for next; with no heat it degenerates to the plain largest-bucket
-    /// rule.
-    fn steal_half_largest(
-        &self,
-        shells: &FreeList<Vec<V>>,
-        heat: &dyn Fn(&K) -> f64,
-    ) -> Option<(K, Vec<V>)> {
-        let (key, hot) = {
-            let mut buckets = self.buckets.lock();
-            let score = |key: &K, bucket: &Bucket<V>| {
-                bucket.len() as f64 * (1.0 + HEAT_STEAL_BOOST * heat(key))
-            };
-            let key = buckets
-                .map
-                .iter()
-                .filter(|(_, bucket)| !bucket.is_empty())
-                .max_by(|a, b| {
-                    score(a.0, a.1)
-                        .partial_cmp(&score(b.0, b.1))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| b.0.cmp(a.0))
-                })?
-                .0
-                .clone();
-            match buckets.map.get(&key) {
-                Some(Bucket::Hot(hot)) => (key, Arc::clone(hot)),
-                _ => {
-                    let stolen = self
-                        .steal_tail(&mut buckets, &key, shells)
-                        .expect("key just observed non-empty");
-                    return Some((key, stolen));
-                }
-            }
-        };
-        let stolen = self.hot_steal_half(&hot, shells);
+    /// Steals ⌈b/2⌉ of the largest non-empty bucket (ties: smallest key),
+    /// returning the key alongside the elements.
+    fn steal_half_largest(&self, shells: &FreeList<Vec<V>>) -> Option<(K, Vec<V>)> {
+        let mut buckets = self.buckets.lock();
+        let key = buckets
+            .map
+            .iter()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .max_by(|a, b| a.1.len().cmp(&b.1.len()).then(b.0.cmp(a.0)))?
+            .0
+            .clone();
+        let stolen =
+            self.steal_tail(&mut buckets, &key, shells).expect("key just observed non-empty");
         Some((key, stolen))
     }
 
     /// Adds a mixed-key batch under one lock acquisition (the keyed side of
-    /// `PoolOps::add_batch`); values bound for hot buckets are pushed
-    /// afterwards under their sub-shard locks.
+    /// `PoolOps::add_batch`).
     fn add_bulk_mixed(&self, pairs: Vec<(K, V)>) {
         if pairs.is_empty() {
             return;
         }
-        let mut deferred: Vec<(K, Arc<HotBucket<V>>, V)> = Vec::new();
-        {
-            let mut buckets = self.buckets.lock();
-            let mut landed = 0;
-            for (key, value) in pairs {
-                match buckets.route_add(key, value) {
-                    Ok(()) => landed += 1,
-                    Err(routed) => deferred.push(routed),
-                }
-            }
-            // Count the landed pairs before the lock is released: a remover
-            // that takes one first would otherwise wrap `len` below zero,
-            // and blocked removers would spin their lap budget away on the
-            // phantom occupancy.
-            if landed > 0 {
-                self.len.fetch_add(landed, Ordering::AcqRel);
-            }
+        let mut buckets = self.buckets.lock();
+        let n = pairs.len();
+        for (key, value) in pairs {
+            buckets.bucket_for(key).push(value);
         }
-        for (key, hot, value) in deferred {
-            let at = hot.add_cursor.fetch_add(1, Ordering::Relaxed);
-            if let Err(value) = self.hot_push(&hot, value, at) {
-                // Sealed (demotion raced): the retried add routes plain.
-                self.add(key, value);
-            }
-        }
+        // Counted before the lock is released: a remover that takes one
+        // first would otherwise wrap `len` below zero, and blocked removers
+        // would spin their lap budget away on the phantom occupancy.
+        self.len.fetch_add(n, Ordering::AcqRel);
     }
 
     /// Removes up to `n` elements (first keys first, deterministically)
-    /// under one lock acquisition; hot buckets drain sub-shard-wise under
-    /// their shard locks (segment lock before shard lock is the crate-wide
-    /// order).
+    /// under one lock acquisition.
     fn remove_up_to(&self, n: usize) -> Vec<(K, V)> {
         if n == 0 {
             return Vec::new();
@@ -803,55 +301,29 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         let mut out = Vec::new();
         let mut newly_empty = 0;
         'keys: for (key, bucket) in buckets.map.iter_mut() {
-            match bucket {
-                Bucket::Plain(bucket) => {
-                    let had_elements = !bucket.is_empty();
-                    while let Some(value) = bucket.pop() {
-                        out.push((key.clone(), value));
-                        if out.len() >= n {
-                            if bucket.is_empty() && had_elements {
-                                newly_empty += 1;
-                            }
-                            break 'keys;
-                        }
-                    }
-                    if had_elements {
+            let had_elements = !bucket.is_empty();
+            while let Some(value) = bucket.pop() {
+                out.push((key.clone(), value));
+                if out.len() >= n {
+                    if bucket.is_empty() && had_elements {
                         newly_empty += 1;
                     }
+                    break 'keys;
                 }
-                Bucket::Hot(hot) => {
-                    'shards: for shard in hot.shards.iter() {
-                        let mut items = shard.items.lock();
-                        if shard.sealed.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        while let Some(value) = items.pop() {
-                            out.push((key.clone(), value));
-                            if out.len() >= n {
-                                shard.len.store(items.len(), Ordering::Release);
-                                break 'shards;
-                            }
-                        }
-                        shard.len.store(items.len(), Ordering::Release);
-                    }
-                    if out.len() >= n {
-                        break 'keys;
-                    }
-                    // An emptied hot bucket stays resident (and split)
-                    // until the detector demotes it.
-                }
+            }
+            if had_elements {
+                newly_empty += 1;
             }
         }
         buckets.empties += newly_empty;
         if buckets.empties > buckets.resident_max {
             // Evict only the excess above the bound, matching the per-op
             // policy in `settle_emptied` — a batched remove must not purge
-            // every hot key's retained capacity in one sweep. Only empty
-            // *plain* buckets are candidates.
+            // every busy key's retained capacity in one sweep.
             let mut excess = buckets.empties - buckets.resident_max;
             let mut evicted = 0;
             buckets.map.retain(|_, bucket| {
-                if excess > 0 && matches!(bucket, Bucket::Plain(b) if b.is_empty()) {
+                if excess > 0 && bucket.is_empty() {
                     excess -= 1;
                     evicted += 1;
                     false
@@ -868,83 +340,22 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
 
     /// Removes every element under one lock acquisition. This is the one
     /// operation that also evicts the resident buckets (and their retained
-    /// capacity): a drain is a teardown, not steady-state traffic. Hot
-    /// buckets are sealed shard-by-shard so a stale cached handle cannot
-    /// push into an orphaned bucket — its retry re-routes through the map.
+    /// capacity): a drain is a teardown, not steady-state traffic.
     fn drain_all(&self) -> Vec<(K, V)> {
         let mut buckets = self.buckets.lock();
         let mut out = Vec::new();
-        for (key, bucket) in std::mem::take(&mut buckets.map) {
-            match bucket {
-                Bucket::Plain(values) => {
-                    out.extend(values.into_iter().map(|v| (key.clone(), v)));
-                }
-                Bucket::Hot(hot) => {
-                    for shard in hot.shards.iter() {
-                        let mut items = shard.items.lock();
-                        shard.sealed.store(true, Ordering::Release);
-                        shard.len.store(0, Ordering::Release);
-                        out.extend(items.drain(..).map(|v| (key.clone(), v)));
-                    }
-                }
-            }
+        for (key, values) in std::mem::take(&mut buckets.map) {
+            out.extend(values.into_iter().map(|v| (key.clone(), v)));
         }
         buckets.empties = 0;
-        buckets.hot_keys.clear();
-        self.hot_gauge.store(0, Ordering::Release);
         self.len.fetch_sub(out.len(), Ordering::AcqRel);
         out
     }
 
-    /// Splits `key`'s bucket into `k` sub-shards (idempotent); returns the
-    /// split bucket for caching.
-    fn promote(&self, key: &K, k: usize) -> Arc<HotBucket<V>> {
-        let mut buckets = self.buckets.lock();
-        let hot = buckets.promote(key, k);
-        self.hot_gauge.store(buckets.hot_keys.len(), Ordering::Release);
-        hot
-    }
-
-    /// Merges `key`'s sub-shards back into a plain bucket; `false` if the
-    /// key is not split here.
-    fn demote(&self, key: &K) -> bool {
-        let mut buckets = self.buckets.lock();
-        let merged = buckets.demote(key);
-        self.hot_gauge.store(buckets.hot_keys.len(), Ordering::Release);
-        merged
-    }
-
-    /// The split bucket under `key`, if any (for handle caches).
-    fn hot_bucket(&self, key: &K) -> Option<Arc<HotBucket<V>>> {
-        match self.buckets.lock().map.get(key) {
-            Some(Bucket::Hot(hot)) => Some(Arc::clone(hot)),
-            _ => None,
-        }
-    }
-
-    /// Demotes every split bucket whose key `is_cold` — the hysteresis
-    /// sweep sampled operations run against their home segment. Returns
-    /// how many buckets were merged back. A segment with no split buckets
-    /// answers from the gauge without taking any lock; one with split
-    /// buckets consults only its (few) hot keys, never the whole map.
-    fn demote_cold(&self, is_cold: &dyn Fn(&K) -> bool) -> usize {
-        if self.hot_gauge.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        let mut buckets = self.buckets.lock();
-        let cold: Vec<K> = buckets.hot_keys.iter().filter(|key| is_cold(key)).cloned().collect();
-        for key in &cold {
-            buckets.demote(key);
-        }
-        self.hot_gauge.store(buckets.hot_keys.len(), Ordering::Release);
-        cold.len()
-    }
-
-    /// Segment-local event counters and the split-bucket gauge, for
+    /// Empty buckets evicted past the residency bound, for
     /// [`PoolCounters`](crate::stats::PoolCounters) aggregation.
-    fn counters(&self) -> (u64, u64, u64, u64) {
-        let buckets = self.buckets.lock();
-        (buckets.evictions, buckets.promotions, buckets.demotions, buckets.hot_keys.len() as u64)
+    fn evictions(&self) -> u64 {
+        self.buckets.lock().evictions
     }
 }
 
@@ -958,12 +369,6 @@ pub(crate) struct KeyedShared<K, V, T> {
     /// Pool-wide cache of spare transfer vectors: steals fill a recycled
     /// shell, refills return it (see [`transfer`](crate::transfer)).
     shells: FreeList<Vec<V>>,
-    /// The sampled key-frequency window (`None` when hot-key detection is
-    /// disabled); only sampled operations touch its lock.
-    detector: Option<HotKeyDetector<K>>,
-    /// The hot-key knobs, kept even when detection is off so manual
-    /// [`KeyedPool::promote_key`] calls know the sub-shard count.
-    hot_cfg: HotKeyConfig,
     /// The magazine exchange point, present when built with a non-zero
     /// [`KeyedPoolBuilder::handle_cache`] depth. Keyed magazines carry
     /// whole `(key, value)` pairs — a magazine is *not* key-homogeneous.
@@ -975,12 +380,6 @@ pub(crate) struct KeyedShared<K, V, T> {
 }
 
 impl<K: Key, V: Send + 'static, T: Timing> KeyedShared<K, V, T> {
-    /// The key's observed heat in `[0, 1]` (0 when detection is off) —
-    /// the weight the steal sweep folds into victim ranking.
-    fn heat(&self, key: &K) -> f64 {
-        self.detector.as_ref().map_or(0.0, |d| d.heat(key))
-    }
-
     /// The pool's notifier (the wait/wake and close subsystem).
     pub(crate) fn notifier(&self) -> &Notifier {
         self.registry.notifier()
@@ -1089,9 +488,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedShared<K, V, T> {
                         if segments[victim.index()].len() == 0 {
                             return Vec::new();
                         }
-                        match segments[victim.index()]
-                            .steal_half_largest(&self.shells, &|k| self.heat(k))
-                        {
+                        match segments[victim.index()].steal_half_largest(&self.shells) {
                             Some((key, values)) => {
                                 *stolen_key.borrow_mut() = Some(key);
                                 values
@@ -1137,6 +534,11 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedShared<K, V, T> {
     /// [`remove_any_pass`](Self::remove_any_pass), stealing half of a
     /// remote `key` bucket; the wake filter and drained snapshot are
     /// scoped to `key`.
+    ///
+    /// The pass has two steps, [`remove_key_home`](Self::remove_key_home)
+    /// and [`remove_key_remote`](Self::remove_key_remote). The futures run
+    /// them together here; a handle runs them apart, so that a remove its
+    /// home segment serves never touches the handle's per-key cursors.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn remove_key_pass(
         &self,
@@ -1146,14 +548,52 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedShared<K, V, T> {
         cursor: &mut SegIdx,
         stats: &mut ProcStats,
         detached: bool,
-        mut wait: Option<&mut WaitCtl<'_>>,
+        wait: Option<&mut WaitCtl<'_>>,
     ) -> Result<V, RemoveError> {
+        match self.remove_key_home(me, home, key, stats) {
+            Ok(value) => Ok(value),
+            Err(timer) => {
+                self.remove_key_remote(timer, me, home, key, cursor, stats, detached, wait)
+            }
+        }
+    }
+
+    /// The first step of a key-scoped remove pass: one probe of the home
+    /// segment's `key` bucket. On a miss the operation's running timer is
+    /// handed back for [`remove_key_remote`](Self::remove_key_remote).
+    pub(crate) fn remove_key_home(
+        &self,
+        me: ProcId,
+        home: SegIdx,
+        key: &K,
+        stats: &mut ProcStats,
+    ) -> Result<V, OpTimer<'_, T>> {
         let timer = OpTimer::start(&self.timing, me, 0);
         self.timing.charge(me, Resource::Segment(home));
-        if let Some(value) = self.segments[home.index()].remove_key(key) {
-            timer.finish_local_remove(stats);
-            return Ok(value);
+        match self.segments[home.index()].remove_key(key) {
+            Some(value) => {
+                timer.finish_local_remove(stats);
+                Ok(value)
+            }
+            None => Err(timer),
         }
+    }
+
+    /// The second step of a key-scoped remove pass, after the home probe
+    /// missed: the depot raid, then the ring search from `cursor`. `timer`
+    /// is the one [`remove_key_home`](Self::remove_key_home) started.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn remove_key_remote(
+        &self,
+        timer: OpTimer<'_, T>,
+        me: ProcId,
+        home: SegIdx,
+        key: &K,
+        cursor: &mut SegIdx,
+        stats: &mut ProcStats,
+        detached: bool,
+        mut wait: Option<&mut WaitCtl<'_>>,
+    ) -> Result<V, RemoveError> {
         // Depot raid, keyed flavour: claim one full magazine and scan it for
         // `key`. Match or not, the rest is banked into the home segment (so
         // `key_len` can see any copies it held and the conservative
@@ -1255,7 +695,6 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedShared<K, V, T> {
 pub struct KeyedPoolBuilder<T: Timing = NullTiming> {
     segments: usize,
     resident_buckets_max: usize,
-    hotkey: Option<HotKeyConfig>,
     handle_cache: usize,
     timing: T,
 }
@@ -1265,16 +704,14 @@ impl<T: Timing> std::fmt::Debug for KeyedPoolBuilder<T> {
         f.debug_struct("KeyedPoolBuilder")
             .field("segments", &self.segments)
             .field("resident_buckets_max", &self.resident_buckets_max)
-            .field("hotkey", &self.hotkey)
             .field("handle_cache", &self.handle_cache)
             .finish_non_exhaustive()
     }
 }
 
 impl KeyedPoolBuilder {
-    /// Starts building a keyed pool with `segments` segments, the free
-    /// [`NullTiming`] cost model, and hot-key detection at the
-    /// [default knobs](HotKeyConfig::default).
+    /// Starts building a keyed pool with `segments` segments and the free
+    /// [`NullTiming`] cost model.
     ///
     /// # Panics
     ///
@@ -1284,7 +721,6 @@ impl KeyedPoolBuilder {
         KeyedPoolBuilder {
             segments,
             resident_buckets_max: RESIDENT_BUCKETS_MAX,
-            hotkey: Some(HotKeyConfig::default()),
             handle_cache: 0,
             timing: NullTiming::new(),
         }
@@ -1299,7 +735,6 @@ impl<T: Timing> KeyedPoolBuilder<T> {
         KeyedPoolBuilder {
             segments: self.segments,
             resident_buckets_max: self.resident_buckets_max,
-            hotkey: self.hotkey,
             handle_cache: self.handle_cache,
             timing,
         }
@@ -1316,27 +751,6 @@ impl<T: Timing> KeyedPoolBuilder<T> {
         self
     }
 
-    /// Installs hot-key detection knobs (see [`HotKeyConfig`]); detection
-    /// is on by default with [`HotKeyConfig::default`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the knobs are incoherent (e.g. `demote_pct` not strictly
-    /// below `promote_pct`).
-    pub fn hot_keys(mut self, cfg: HotKeyConfig) -> Self {
-        cfg.validate();
-        self.hotkey = Some(cfg);
-        self
-    }
-
-    /// Disables hot-key detection: no sampling, no splits, and the steal
-    /// sweep falls back to the plain largest-bucket rule. Manual
-    /// [`KeyedPool::promote_key`] still works (using default sub-shards).
-    pub fn hot_keys_disabled(mut self) -> Self {
-        self.hotkey = None;
-        self
-    }
-
     /// Gives every [`KeyedHandle`] a two-magazine element cache of `depth`
     /// `(key, value)` pairs per magazine (default 0 = off), exchanged
     /// through a shared per-pool depot — the keyed counterpart of
@@ -1344,8 +758,8 @@ impl<T: Timing> KeyedPoolBuilder<T> {
     ///
     /// Keyed magazines are *mixed-key*: a cached pair is invisible to
     /// `key_len` and to `try_remove_key` on other handles until it is
-    /// flushed, and cached adds skip hot-key sampling. See the README's
-    /// "Handle-local caching" section for when not to enable this.
+    /// flushed. See the README's "Handle-local caching" section for when
+    /// not to enable this.
     pub fn handle_cache(mut self, depth: usize) -> Self {
         self.handle_cache = depth;
         self
@@ -1354,15 +768,12 @@ impl<T: Timing> KeyedPoolBuilder<T> {
     /// Builds the keyed pool.
     #[must_use]
     pub fn build<K: Key, V: Send + 'static>(self) -> KeyedPool<K, V, T> {
-        let hot_cfg = self.hotkey.unwrap_or_default();
         KeyedPool {
             shared: Arc::new(KeyedShared {
                 segments: (0..self.segments)
                     .map(|_| Slot::new(KeyedSegment::new(self.resident_buckets_max)))
                     .collect(),
                 shells: FreeList::new(CACHED_SHELLS_PER_SEGMENT * self.segments + 2),
-                detector: self.hotkey.map(HotKeyDetector::new),
-                hot_cfg,
                 depot: (self.handle_cache > 0)
                     .then(|| Depot::new(self.handle_cache, 2 * self.segments + 2)),
                 handle_cache: self.handle_cache,
@@ -1501,10 +912,6 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
                 seg,
                 last_found_any: seg,
                 last_found_key: BTreeMap::new(),
-                hot_cache: Vec::new(),
-                hot_range: None,
-                sample_tick: 0,
-                sweep_tick: 0,
                 magazine,
                 stats: ProcStats::default(),
                 poll_slot: None,
@@ -1512,36 +919,13 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedPool<K, V, T> {
         }
     }
 
-    /// Splits `key`'s bucket into sub-shards on every segment, regardless
-    /// of observed heat — a manual override for workloads that know their
-    /// hot set up front (and for deterministic tests/benches). Uses the
-    /// configured [`HotKeyConfig::sub_shards`]; idempotent.
-    pub fn promote_key(&self, key: &K) {
-        for segment in self.shared.segments.iter() {
-            segment.promote(key, self.shared.hot_cfg.sub_shards);
-        }
-    }
-
-    /// Merges `key`'s sub-shards back into plain buckets on every segment
-    /// (no-op where the key is not split). Handles still caching the split
-    /// bucket fall back to the routed path on their next `key` operation.
-    pub fn demote_key(&self, key: &K) {
-        for segment in self.shared.segments.iter() {
-            segment.demote(key);
-        }
-    }
-
     /// Statistics of dropped handles, by process id, plus the pool-wide
-    /// keyed-frontend counters (bucket evictions, hot-key promotions and
-    /// demotions, and the current split-bucket gauge).
+    /// keyed-frontend counters (bucket evictions; the hot-key fields stay
+    /// 0).
     pub fn stats(&self) -> PoolStats {
         let mut stats = self.shared.registry.stats();
         for segment in self.shared.segments.iter() {
-            let (evictions, promotions, demotions, hot) = segment.counters();
-            stats.pool.bucket_evictions += evictions;
-            stats.pool.hotkey_promotions += promotions;
-            stats.pool.hotkey_demotions += demotions;
-            stats.pool.hot_buckets += hot;
+            stats.pool.bucket_evictions += segment.evictions();
         }
         stats
     }
@@ -1569,29 +953,11 @@ struct KeyedLocal<K, V> {
     seg: SegIdx,
     /// Where `try_remove_any` last found elements (the linear `LastFound`).
     last_found_any: SegIdx,
-    /// Where each key was last found.
+    /// Where a search last found each key; a key with no entry resumes at
+    /// home. Only removes the home segment could not serve read or write
+    /// it, and it holds at most [`RESIDENT_BUCKETS_MAX`] keys (see
+    /// [`remember_cursor`](Self::remember_cursor)).
     last_found_key: BTreeMap<K, SegIdx>,
-    /// Handle-local cache of this home segment's split buckets: hot-key
-    /// operations go straight to a sub-shard lock, bypassing the segment
-    /// lock entirely. A flat vector, linearly scanned — it holds a
-    /// handful of genuinely hot keys at most, and the scan is the per-op
-    /// cost of every keyed operation's fast-path probe. Entries go stale
-    /// harmlessly — a sealed sub-shard bounces the operation back to the
-    /// routed path, which uncaches.
-    hot_cache: Vec<(K, Arc<HotBucket<V>>)>,
-    /// `(min, max)` of the cached keys — the one-comparison pre-filter
-    /// that spares cold-key operations the cache scan (`None` when the
-    /// cache is empty).
-    hot_range: Option<(K, K)>,
-    /// Countdown to the next sampled operation (see
-    /// [`HotKeyConfig::sample_every`]); handle-local, so the unsampled
-    /// path touches no shared state.
-    sample_tick: u32,
-    /// Countdown (in samples) to the next hysteresis sweep. The sweep
-    /// costs a segment-lock plus a detector probe per split bucket, so it
-    /// runs on one sample in [`SWEEP_EVERY_SAMPLES`] — decay only needs
-    /// to be eventual, not immediate.
-    sweep_tick: u32,
     /// The two-magazine `(key, value)` cache, present when the pool was
     /// built with [`KeyedPoolBuilder::handle_cache`]. `RefCell` because
     /// [`close`](KeyedHandle::close) flushes through `&self`.
@@ -1603,97 +969,6 @@ struct KeyedLocal<K, V> {
 }
 
 impl<K: Key, V: Send + 'static> KeyedLocal<K, V> {
-    /// Feeds one in [`HotKeyConfig::sample_every`] operations on `key`
-    /// into the pool's hot-key detector; on a promote-threshold crossing
-    /// splits the key's bucket on the home segment (each handle promotes
-    /// lazily for its own segment — other segments split when their own
-    /// traffic samples the key), and sweeps cooled-off split buckets back
-    /// to plain. No-op (one branch, one decrement) off the sample tick or
-    /// with detection disabled.
-    fn maybe_sample<T: Timing>(&mut self, shared: &KeyedShared<K, V, T>, key: &K) {
-        let Some(detector) = &shared.detector else { return };
-        self.sample_tick += 1;
-        if self.sample_tick < shared.hot_cfg.sample_every {
-            return;
-        }
-        self.sample_tick = 0;
-        let count = detector.observe(key.clone());
-        let segment = &shared.segments[self.seg.index()];
-        if count >= detector.promote_count() {
-            // Splitting is idempotent but not free (segment lock + cache
-            // refresh); a steadily hot key re-crosses the threshold on
-            // every sample, so skip once this handle already holds the
-            // split bucket.
-            if self.cached_hot(key).is_none() {
-                let hot = segment.promote(key, detector.cfg().sub_shards);
-                self.cache_hot(key.clone(), hot);
-            }
-        } else if count >= detector.demote_count() && self.cached_hot(key).is_none() {
-            // Another handle may have split this bucket already (each
-            // handle's window samples are shared); adopt the split so this
-            // handle's traffic also takes the sub-shard fast path.
-            if let Some(hot) = segment.hot_bucket(key) {
-                self.cache_hot(key.clone(), hot);
-            }
-        }
-        // Hysteresis sweep: merge back every split bucket whose key fell
-        // below the demote threshold (strictly under the promote one, so a
-        // key hovering at one level cannot thrash). Throttled to one
-        // sample in SWEEP_EVERY_SAMPLES — decay is eventual by design.
-        self.sweep_tick += 1;
-        if self.sweep_tick >= SWEEP_EVERY_SAMPLES {
-            self.sweep_tick = 0;
-            let demote_count = detector.demote_count();
-            segment.demote_cold(&|k| detector.count(k) < demote_count);
-        }
-    }
-
-    /// The cached split bucket for `key`, if this handle has adopted one.
-    /// The key-range pre-filter rejects most cold keys in one comparison
-    /// before the (short) linear scan — this probe is on every keyed
-    /// operation's path, hot or not.
-    fn cached_hot(&self, key: &K) -> Option<&Arc<HotBucket<V>>> {
-        match &self.hot_range {
-            Some((lo, hi)) if key >= lo && key <= hi => {
-                self.hot_cache.iter().find(|(k, _)| k == key).map(|(_, hot)| hot)
-            }
-            _ => None,
-        }
-    }
-
-    /// Recomputes the cache's key-range pre-filter after a mutation.
-    fn refresh_hot_range(&mut self) {
-        self.hot_range = match (
-            self.hot_cache.iter().map(|(k, _)| k).min(),
-            self.hot_cache.iter().map(|(k, _)| k).max(),
-        ) {
-            (Some(lo), Some(hi)) => Some((lo.clone(), hi.clone())),
-            _ => None,
-        };
-    }
-
-    /// Drops a stale cache entry (the bucket was demoted behind us).
-    fn uncache_hot(&mut self, key: &K) {
-        self.hot_cache.retain(|(k, _)| k != key);
-        self.refresh_hot_range();
-    }
-
-    /// Caches a split bucket for the segment-lock-free fast path. The
-    /// cache is a small bounded vector; at the bound it is cleared rather
-    /// than evicted piecewise — by construction only genuinely hot keys
-    /// land here, so refill is cheap and rare.
-    fn cache_hot(&mut self, key: K, hot: Arc<HotBucket<V>>) {
-        if let Some(slot) = self.hot_cache.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = hot;
-            return;
-        }
-        if self.hot_cache.len() >= HOT_CACHE_MAX {
-            self.hot_cache.clear();
-        }
-        self.hot_cache.push((key, hot));
-        self.refresh_hot_range();
-    }
-
     /// One any-key remove as this process: the magazines first, then one
     /// pass over the pool. `wait` is the blocking-wait controller of
     /// [`remove_bounded`](PoolOps::remove_bounded) and
@@ -1724,9 +999,7 @@ impl<K: Key, V: Send + 'static> KeyedLocal<K, V> {
         }
         // The pass engine lives on the shared state (the futures in
         // [`crate::future`] run the same pass); the handle supplies its
-        // identity, cursor, and stats. No sampling: detection is
-        // producer-side only (see `add`), so every remove flavor keeps the
-        // plain-baseline cost.
+        // identity, cursor, and stats.
         shared.remove_any_pass(
             self.me,
             self.seg,
@@ -1745,9 +1018,6 @@ impl<K: Key, V: Send + 'static> KeyedLocal<K, V> {
         key: &K,
         wait: Option<&mut WaitCtl<'_>>,
     ) -> Result<V, RemoveError> {
-        // No sampling here: detection is producer-side (see `add`) — an
-        // element must be added before it can be removed, so add traffic
-        // is a faithful heat proxy and removes keep the baseline cost.
         // Magazine scan first: this handle's own cached pairs are invisible
         // to every pool-side path, so they must be served (or they would
         // deadlock a remove of a key that only this handle holds).
@@ -1757,30 +1027,19 @@ impl<K: Key, V: Send + 'static> KeyedLocal<K, V> {
                 return Ok(value);
             }
         }
-        // Hot-key fast path: a cached split bucket serves the remove under
-        // one sub-shard lock, never touching the segment lock. An empty or
-        // sealed result falls through to the full pass (which can steal
-        // the key from remote segments).
-        if let Some(hot) = self.cached_hot(key) {
-            let timer = OpTimer::start(&shared.timing, self.me, 0);
-            shared.timing.charge(self.me, Resource::Segment(self.seg));
-            match shared.segments[self.seg.index()].hot_pop(hot, self.me.index()) {
-                HotPop::Got(value) => {
-                    timer.finish_local_remove(&mut self.stats);
-                    return Ok(value);
-                }
-                HotPop::Sealed => {
-                    self.uncache_hot(key);
-                }
-                HotPop::Empty => {}
-            }
-        }
-        // The per-key cursor map wraps the pass's flat `&mut SegIdx`
-        // cursor: read this key's resume point out, persist the pass's
+        // The home probe needs no cursor, so a remove served at home
+        // leaves the cursor map alone.
+        let timer = match shared.remove_key_home(self.me, self.seg, key, &mut self.stats) {
+            Ok(value) => return Ok(value),
+            Err(timer) => timer,
+        };
+        // The per-key cursor map wraps the search's flat `&mut SegIdx`
+        // cursor: read this key's resume point out, persist the search's
         // progress back in afterwards (also on aborts — a retrying caller
         // must resume at the next segment).
         let mut cursor = self.last_found_key.get(key).copied().unwrap_or(self.seg);
-        let out = shared.remove_key_pass(
+        let out = shared.remove_key_remote(
+            timer,
             self.me,
             self.seg,
             key,
@@ -1789,8 +1048,23 @@ impl<K: Key, V: Send + 'static> KeyedLocal<K, V> {
             false,
             wait,
         );
-        self.last_found_key.insert(key.clone(), cursor);
+        self.remember_cursor(key, cursor);
         out
+    }
+
+    /// Stores `key`'s search cursor. A handle may search for an unbounded
+    /// number of distinct keys over its life, so the map is cleared once
+    /// it holds [`RESIDENT_BUCKETS_MAX`] keys: a lost cursor only means
+    /// the next search for that key starts at home.
+    fn remember_cursor(&mut self, key: &K, cursor: SegIdx) {
+        if let Some(slot) = self.last_found_key.get_mut(key) {
+            *slot = cursor;
+            return;
+        }
+        if self.last_found_key.len() >= RESIDENT_BUCKETS_MAX {
+            self.last_found_key.clear();
+        }
+        self.last_found_key.insert(key.clone(), cursor);
     }
 }
 
@@ -1863,8 +1137,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
     /// Adds an element under `key` to the local segment, then signals the
     /// pool's notifier (after the segment lock is released) so consumers
     /// parked in a [`Block`](WaitStrategy::Block) remove wake on the add
-    /// edge. Hot keys bypass the segment lock: the cached split bucket
-    /// takes the value under one sub-shard lock.
+    /// edge.
     pub fn add(&mut self, key: K, value: V) {
         let KeyedHandle { shared, local } = self;
         let shared: &KeyedShared<K, V, T> = shared;
@@ -1874,10 +1147,8 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         // Magazine fast path, untimed and before the timer starts: cache
         // the pair handle-locally (zero shared RMWs) unless consumers are
         // parked — then flush instead, so no element is stranded invisible
-        // while a remover sleeps. Cached adds skip hot-key sampling (a
-        // magazined pair never lands in a bucket, so it carries no heat
-        // signal) and skip the segment charge (the point of the cache is to
-        // not touch the segment).
+        // while a remover sleeps. Cached adds skip the segment charge (the
+        // point of the cache is to not touch the segment).
         if let (Some(depot), Some(mag)) = (&shared.depot, &local.magazine) {
             if shared.registry.notifier().waiters() > 0 {
                 let mut mag = mag.borrow_mut();
@@ -1913,27 +1184,7 @@ impl<K: Key, V: Send + 'static, T: Timing> KeyedHandle<K, V, T> {
         }
         let timer = OpTimer::start(&shared.timing, me, 0);
         shared.timing.charge(me, Resource::Segment(seg));
-        local.maybe_sample(shared, &key);
-        let segment = &shared.segments[seg.index()];
-        if let Some(hot) = local.cached_hot(&key) {
-            // The process slot as sub-shard affinity: concurrent handles
-            // spread across distinct shards, and this handle's pops probe
-            // the same shard first.
-            match segment.hot_push(hot, value, me.index()) {
-                Ok(()) => {
-                    shared.registry.notifier().notify_all();
-                    timer.finish_add(&mut local.stats, false);
-                    return;
-                }
-                Err(v) => {
-                    // Sealed: the bucket was demoted; drop the stale cache
-                    // entry and take the routed path.
-                    local.uncache_hot(&key);
-                    value = v;
-                }
-            }
-        }
-        segment.add(key, value);
+        shared.segments[seg.index()].add(key, value);
         shared.registry.notifier().notify_all();
         timer.finish_add(&mut local.stats, false);
     }
@@ -2708,120 +1959,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_promote_demote_conserves_the_multiset() {
-        let pool: KeyedPool<u8, u32> = KeyedPool::new(1);
-        let mut h = pool.register();
-        for v in 0..10 {
-            h.add(5, v);
-        }
-        pool.promote_key(&5);
-        assert_eq!(pool.key_len(&5), 10, "splitting moves, never drops");
-        assert_eq!(pool.stats().pool.hot_buckets, 1);
-        // Adds and removes keep flowing through the split bucket.
-        for v in 10..20 {
-            h.add(5, v);
-        }
-        assert_eq!(pool.key_len(&5), 20);
-        pool.demote_key(&5);
-        assert_eq!(pool.stats().pool.hot_buckets, 0);
-        assert_eq!(pool.key_len(&5), 20, "merging moves, never drops");
-        let mut got = std::collections::BTreeSet::new();
-        for _ in 0..20 {
-            got.insert(h.try_remove_key(&5).expect("all 20 still present"));
-        }
-        assert_eq!(got, (0..20).collect());
-        let stats = pool.stats();
-        assert_eq!(stats.pool.hotkey_promotions, 1);
-        assert_eq!(stats.pool.hotkey_demotions, 1);
-    }
-
-    #[test]
-    fn sampling_promotes_hot_keys_and_demotes_cooled_ones() {
-        let pool: KeyedPool<u8, u32> = KeyedPoolBuilder::new(1)
-            .hot_keys(HotKeyConfig {
-                sample_every: 1,
-                window: 8,
-                sub_shards: 4,
-                promote_pct: 50,
-                demote_pct: 20,
-            })
-            .build();
-        let mut h = pool.register();
-        for v in 0..16 {
-            h.add(7, v);
-        }
-        assert!(pool.stats().pool.hotkey_promotions >= 1, "a dominant key splits its bucket");
-        assert_eq!(pool.stats().pool.hot_buckets, 1);
-        assert_eq!(pool.key_len(&7), 16, "split under live adds loses nothing");
-        // Traffic moves on: the window forgets key 7 and a later sampled
-        // op's hysteresis sweep merges the bucket back.
-        for key in 0..16u8 {
-            h.add(100 + key, 0);
-        }
-        assert_eq!(pool.stats().pool.hot_buckets, 0, "cooled key demoted");
-        assert!(pool.stats().pool.hotkey_demotions >= 1);
-        assert_eq!(pool.key_len(&7), 16, "demotion under other traffic loses nothing");
-        let mut got = std::collections::BTreeSet::new();
-        for _ in 0..16 {
-            got.insert(h.try_remove_key(&7).expect("all of key 7 present"));
-        }
-        assert_eq!(got, (0..16).collect());
-    }
-
-    #[test]
-    fn uniform_traffic_never_promotes() {
-        // Default knobs: promotion needs ~8% of a 256-sample window on one
-        // key; 100 keys in round-robin peak at 1%.
-        let pool: KeyedPool<u32, u32> = KeyedPool::new(2);
-        let mut h = pool.register();
-        for i in 0..2_000u32 {
-            h.add(i % 100, i);
-        }
-        for _ in 0..2_000 {
-            let _ = h.try_remove_any();
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.pool.hotkey_promotions, 0, "no skew, no splits");
-        assert_eq!(stats.pool.hot_buckets, 0);
-    }
-
-    #[test]
-    fn heat_weighted_steal_prefers_the_hot_bucket() {
-        // Without heat, the steal sweep picks the largest bucket (see
-        // remove_any_steals_largest_bucket). Here the *smaller* bucket is
-        // hot: score = len·(1 + 4·heat) must rank 6 hot over 20 cold.
-        let pool: KeyedPool<u8, u32> = KeyedPoolBuilder::new(2)
-            .hot_keys(HotKeyConfig {
-                sample_every: 1,
-                window: 64,
-                sub_shards: 2,
-                promote_pct: 100, // never split: isolates the victim ranking
-                demote_pct: 1,
-            })
-            .build();
-        let mut thief = pool.register(); // home 0
-        let mut victim = pool.register(); // home 1
-                                          // The cold bulk arrives via a batch (batches are not sampled), so
-                                          // the window sees only key-2 traffic.
-        victim.add_batch((0..20u32).map(|v| (1u8, v)));
-        for v in 0..6 {
-            victim.add(2, v + 100);
-        }
-        // Only adds feed the window (producer-side sampling), so the heat
-        // comes from the add half of each pair: 6 + 40 key-2 samples in a
-        // 64-sample window → heat ≈ 0.72 → score 6·(1 + 4·0.72) ≈ 23 > 20.
-        for _ in 0..40 {
-            victim.add(2, 999);
-            let _ = victim.try_remove_key(&2);
-        }
-        assert_eq!(pool.key_len(&2), 6);
-        let (key, _) = thief.try_remove_any().expect("elements exist");
-        assert_eq!(key, 2, "heat outweighs raw occupancy");
-        assert_eq!(thief.stats().elements_stolen, 3, "ceil(6/2) of the hot bucket");
-        assert_eq!(pool.key_len(&1), 20, "the cold bucket was not touched");
-    }
-
-    #[test]
     fn resident_buckets_knob_bounds_empties_and_counts_evictions() {
         let bound = 4;
         let pool: KeyedPool<u32, u32> =
@@ -2842,75 +1979,23 @@ mod tests {
     }
 
     #[test]
-    fn close_wakes_blocked_removers_across_a_split() {
-        // The close()/timeout contract must survive a bucket split: parked
-        // keyed removers drain a split bucket's residue, then see Closed.
-        let pool: KeyedPool<u8, u32> = KeyedPool::new(2);
-        pool.promote_key(&1);
-        thread::scope(|s| {
-            let mut producer = pool.register();
-            let mut consumer = pool.register();
-            s.spawn(move || {
-                producer.add(1, 10);
-                producer.close();
-            });
-            s.spawn(move || {
-                let mut got = 0;
-                let err = loop {
-                    match consumer.remove_key(&1, WaitStrategy::Block) {
-                        Ok(_) => got += 1,
-                        Err(err) => break err,
-                    }
-                };
-                assert_eq!(got, 1, "split-bucket residue delivered before Closed");
-                assert_eq!(err, RemoveError::Closed);
-            });
-        });
-    }
-
-    #[test]
-    fn remove_key_timeout_expires_across_a_split() {
-        let pool: KeyedPool<u8, u32> = KeyedPool::new(2);
-        pool.promote_key(&2);
-        let mut h = pool.register();
-        let _idle = pool.register(); // keeps the gate from firing
-        h.add(2, 20);
-        let t0 = std::time::Instant::now();
-        assert_eq!(
-            h.remove_key_timeout(&1, std::time::Duration::from_millis(15)),
-            Err(RemoveError::Timeout)
-        );
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(15));
-        assert_eq!(pool.key_len(&2), 1, "the split bucket's element is untouched");
-    }
-
-    #[test]
-    fn stale_hot_cache_falls_back_after_demotion() {
-        let pool: KeyedPool<u8, u32> = KeyedPoolBuilder::new(1)
-            .hot_keys(HotKeyConfig {
-                sample_every: 1,
-                window: 8,
-                sub_shards: 2,
-                promote_pct: 50,
-                demote_pct: 20,
-            })
-            .build();
-        let mut h = pool.register();
-        for v in 0..8 {
-            h.add(3, v);
+    fn search_cursors_stay_bounded_under_one_shot_keys() {
+        // Every key is removed once: half are stolen from the other
+        // segment, half are served at home. Only the stolen ones need a
+        // cursor, and the map holds at most RESIDENT_BUCKETS_MAX of them.
+        let pool: KeyedPool<u32, u32> = KeyedPool::new(2);
+        let mut a = pool.register(); // home 0
+        let mut b = pool.register(); // home 1
+        for key in 0..10 * RESIDENT_BUCKETS_MAX as u32 {
+            if key % 2 == 0 {
+                b.add(key, key);
+            } else {
+                a.add(key, key);
+            }
+            assert_eq!(a.try_remove_key(&key), Ok(key));
         }
-        assert_eq!(pool.stats().pool.hot_buckets, 1);
-        // Demote behind the handle's back: its cached split bucket is now
-        // sealed, so the next ops must bounce to the routed path and still
-        // land correctly.
-        pool.demote_key(&3);
-        let mut h2 = pool.register();
-        h2.add(3, 100);
-        assert_eq!(pool.key_len(&3), 9);
-        let mut got = std::collections::BTreeSet::new();
-        for _ in 0..9 {
-            got.insert(h2.try_remove_key(&3).expect("all present"));
-        }
-        assert_eq!(got, (0..8).chain([100]).collect());
+        assert_eq!(a.stats().steals, 5 * RESIDENT_BUCKETS_MAX as u64, "half were stolen");
+        let cursors = a.local.last_found_key.len();
+        assert!(cursors <= RESIDENT_BUCKETS_MAX, "{cursors} search cursors kept for one-shot keys");
     }
 }

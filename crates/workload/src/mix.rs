@@ -74,77 +74,9 @@ impl fmt::Display for JobMix {
     }
 }
 
-/// A keyed job mix: a [`JobMix`] of adds/removes crossed with a
-/// [`KeyDist`](crate::zipf::KeyDist) choosing which key each operation
-/// targets — the configuration surface keyed-pool scenarios sweep.
-///
-/// ```
-/// use workload::{JobMix, KeyedMix, KeyDist, KeyStream};
-///
-/// let spec = KeyedMix { mix: JobMix::from_percent(50), dist: KeyDist::Zipf { keys: 64, s: 1.1 } };
-/// let mut s = spec.stream(7);
-/// let (_op, key) = s.next_pair();
-/// assert!(key < 64);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct KeyedMix {
-    /// The add/remove mix.
-    pub mix: JobMix,
-    /// The key distribution each operation draws its key from.
-    pub dist: crate::zipf::KeyDist,
-}
-
-impl KeyedMix {
-    /// Builds the deterministic `(op, key)` stream for this spec. The op
-    /// and key draws use independently derived seeds, so the key sequence
-    /// is identical across mixes (only *what is done* to each key varies).
-    pub fn stream(&self, seed: u64) -> KeyedMixStream {
-        KeyedMixStream {
-            ops: crate::stream::RandomMixStream::new(self.mix, seed),
-            keys: self.dist.stream(seed ^ 0x6B65_7973),
-        }
-    }
-}
-
-impl fmt::Display for KeyedMix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.mix, self.dist)
-    }
-}
-
-/// The stream a [`KeyedMix`] builds: endless `(op, key)` pairs.
-#[derive(Clone, Debug)]
-pub struct KeyedMixStream {
-    ops: crate::stream::RandomMixStream,
-    keys: crate::zipf::Keys,
-}
-
-impl KeyedMixStream {
-    /// The next operation and the key it targets.
-    pub fn next_pair(&mut self) -> (crate::stream::Op, u64) {
-        use crate::zipf::KeyStream;
-        (crate::stream::OpStream::next_op(&mut self.ops), self.keys.next_key())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn keyed_mix_streams_are_deterministic() {
-        let spec = KeyedMix {
-            mix: JobMix::from_percent(50),
-            dist: crate::zipf::KeyDist::Zipf { keys: 32, s: 1.1 },
-        };
-        let take = |seed: u64| -> Vec<(crate::stream::Op, u64)> {
-            let mut s = spec.stream(seed);
-            (0..64).map(|_| s.next_pair()).collect()
-        };
-        assert_eq!(take(3), take(3));
-        assert_ne!(take(3), take(4));
-        assert_eq!(spec.to_string(), "50%/zipf(32 s=1.1)");
-    }
 
     #[test]
     fn percent_roundtrip() {
