@@ -7,19 +7,26 @@
 //!
 //! # Design
 //!
-//! Each segment partitions its contents by key (a `BTreeMap` of buckets —
-//! ordered, so iteration is deterministic and virtual-time runs reproduce).
-//! The concurrent-pool locality story carries over per key:
+//! Each segment partitions its contents by key: a `HashMap` from key to
+//! bucket, so a per-key operation costs one hash probe under the segment
+//! lock (SipHash, because keys come from callers), beside an ordered set
+//! of the resident keys. The set changes only when a bucket is created or
+//! evicted; it keeps any-key removes and drains in key order, so they are
+//! deterministic and virtual-time runs reproduce. The segment publishes
+//! its total to a lock-free occupancy mirror with one store per
+//! operation, like the plain pool's segments. The concurrent-pool
+//! locality story carries over per key:
 //!
 //! * `add(k, v)` goes to the local segment's `k` bucket;
 //! * `try_remove_key(k)` serves from the local `k` bucket, and only when
 //!   that is empty searches remote segments — stealing **⌈n/2⌉ of the
 //!   victim's `k` bucket** (the paper's rule, applied bucket-wise, so the
 //!   reserve it builds is a reserve of the key the process actually wants);
-//! * `try_remove_any` serves any local element, and when the local segment
-//!   is empty steals half of the *largest* bucket of the first non-empty
-//!   victim — taking the biggest bucket preserves the locality of the
-//!   victim's other keys while still balancing bulk.
+//! * `try_remove_any` serves the smallest local key, and when the local
+//!   segment is empty steals half of the *largest* bucket (ties: the
+//!   smallest key) of the first non-empty victim — taking the biggest
+//!   bucket preserves the locality of the victim's other keys while still
+//!   balancing bulk.
 //!
 //! Searches use the **linear algorithm**: the paper's own conclusion is
 //! that "the linear or the random search algorithm may suffice and provide
@@ -34,7 +41,7 @@
 //! Transfers ride the same batch-typed machinery as the plain pool
 //! ([`transfer`](crate::transfer)): steals fill a recycled vector shell
 //! from a pool-wide free list and refills return it, and a bucket emptied
-//! by removes or steals stays resident so its capacity (and its map node)
+//! by removes or steals stays resident so its capacity (and its map entry)
 //! is reused by the next add of that key — the steady-state keyed
 //! steal/refill cycle allocates nothing (asserted by
 //! `tests/alloc_steal.rs`). Residency is bounded per segment (64 buckets;
@@ -61,7 +68,9 @@
 //! that segment's bucket — no search cursor is read or written — so the
 //! plain bucket path carries skewed traffic by itself.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,10 +88,12 @@ use crate::stats::{PoolStats, ProcStats};
 use crate::timing::{NullTiming, Resource, Timing};
 use crate::transfer::{FreeList, SHELL_SPILL_MAX, SHELL_SPILL_MIN};
 
-/// Keys must be orderable (deterministic bucket iteration), cloneable
-/// (buckets store them), and sendable across worker threads.
-pub trait Key: Ord + Clone + Send + 'static {}
-impl<K: Ord + Clone + Send + 'static> Key for K {}
+/// Keys must be hashable (a segment finds a key's bucket by hashing it),
+/// orderable (any-key removes and drains go in key order, so virtual-time
+/// runs reproduce), cloneable (the ordered key set and the search cursors
+/// store copies), and sendable across worker threads.
+pub trait Key: Ord + Hash + Clone + Send + 'static {}
+impl<K: Ord + Hash + Clone + Send + 'static> Key for K {}
 
 /// Default for the most buckets a segment keeps resident while *empty*
 /// (see [`KeyedPoolBuilder::resident_buckets_max`]). Above the bound, an
@@ -94,13 +105,20 @@ impl<K: Ord + Clone + Send + 'static> Key for K {}
 /// each handle's per-key search cursors.
 const RESIDENT_BUCKETS_MAX: usize = 64;
 
-/// The bucket map plus an exact count of its resident *empty* buckets,
-/// kept in lockstep so the residency policy never has to scan, and the
-/// eviction counter the pool aggregates into [`PoolCounters`].
+/// The bucket map, the ordered set of its keys, an exact count of its
+/// resident *empty* buckets (kept in lockstep so the residency policy
+/// never has to scan), and the eviction counter the pool aggregates into
+/// [`PoolCounters`].
+///
+/// A per-key operation makes one probe of the hash map (plus one to evict
+/// the bucket it empties past the bound). The key set changes only when a
+/// bucket is created or evicted; it gives the any-key paths their key
+/// order.
 ///
 /// [`PoolCounters`]: crate::stats::PoolCounters
 struct Buckets<K, V> {
-    map: BTreeMap<K, Vec<V>>,
+    map: HashMap<K, Vec<V>>,
+    keys: BTreeSet<K>,
     empties: usize,
     resident_max: usize,
     evictions: u64,
@@ -111,19 +129,22 @@ impl<K: Key, V> Buckets<K, V> {
     /// count if a resident empty bucket is being brought back into use.
     fn bucket_for(&mut self, key: K) -> &mut Vec<V> {
         match self.map.entry(key) {
-            std::collections::btree_map::Entry::Occupied(entry) => {
+            Entry::Occupied(entry) => {
                 let bucket = entry.into_mut();
                 if bucket.is_empty() {
                     self.empties -= 1;
                 }
                 bucket
             }
-            std::collections::btree_map::Entry::Vacant(entry) => entry.insert(Vec::new()),
+            Entry::Vacant(entry) => {
+                self.keys.insert(entry.key().clone());
+                entry.insert(Vec::new())
+            }
         }
     }
 
     /// The residency policy in one place: a bucket that an operation just
-    /// emptied stays resident (capacity + map node reuse) unless the
+    /// emptied stays resident (capacity + map entry reuse) unless the
     /// segment already hoards `resident_max` empty buckets, in which case
     /// it is evicted (and counted).
     fn settle_emptied(&mut self, key: &K, emptied: bool) {
@@ -132,6 +153,7 @@ impl<K: Key, V> Buckets<K, V> {
         }
         if self.empties >= self.resident_max {
             self.map.remove(key);
+            self.keys.remove(key);
             self.evictions += 1;
         } else {
             self.empties += 1;
@@ -146,13 +168,17 @@ impl<K: Key, V> Buckets<K, V> {
 /// vector under its key) instead of being evicted from the map — up to
 /// `resident_max` empty buckets (default [`RESIDENT_BUCKETS_MAX`]): the
 /// next add or refill of that key reuses the bucket's grown capacity and
-/// the map's existing node, so the steady-state keyed steal/refill cycle
+/// the map's existing entry, so the steady-state keyed steal/refill cycle
 /// allocates nothing. Beyond the bound emptied buckets are evicted
 /// (ephemeral-key workloads trade the allocation-free property for bounded
 /// scans); [`drain_all`](Self::drain_all) releases everything. All
 /// occupancy checks skip empty buckets.
 struct KeyedSegment<K, V> {
     buckets: Mutex<Buckets<K, V>>,
+    /// Total elements across the buckets, written (`Release`) only while
+    /// `buckets` is locked, read (`Acquire`) without the lock by `len`.
+    /// The lock orders the writers, so each stores the new count outright
+    /// instead of paying for a read-modify-write.
     len: AtomicUsize,
 }
 
@@ -160,7 +186,8 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
     fn new(resident_max: usize) -> Self {
         KeyedSegment {
             buckets: Mutex::new(Buckets {
-                map: BTreeMap::new(),
+                map: HashMap::new(),
+                keys: BTreeSet::new(),
                 empties: 0,
                 resident_max,
                 evictions: 0,
@@ -173,6 +200,18 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         self.len.load(Ordering::Acquire)
     }
 
+    /// Exact occupancy while the bucket lock is held (all writers hold the
+    /// lock, so the relaxed load cannot race a store).
+    fn len_locked(&self, _buckets: &Buckets<K, V>) -> usize {
+        self.len.load(Ordering::Relaxed)
+    }
+
+    /// Publishes a new occupancy to the lock-free mirror; must be called
+    /// with the bucket lock held, after the mutation.
+    fn publish_len(&self, _buckets: &Buckets<K, V>, len: usize) {
+        self.len.store(len, Ordering::Release);
+    }
+
     fn key_len(&self, key: &K) -> usize {
         self.buckets.lock().map.get(key).map_or(0, Vec::len)
     }
@@ -180,7 +219,7 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
     fn add(&self, key: K, value: V) {
         let mut buckets = self.buckets.lock();
         buckets.bucket_for(key).push(value);
-        self.len.fetch_add(1, Ordering::AcqRel);
+        self.publish_len(&buckets, self.len_locked(&buckets) + 1);
     }
 
     fn add_bulk(&self, key: &K, mut values: Vec<V>, shells: &FreeList<Vec<V>>) {
@@ -188,7 +227,7 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
             let mut buckets = self.buckets.lock();
             let n = values.len();
             buckets.bucket_for(key.clone()).append(&mut values);
-            self.len.fetch_add(n, Ordering::AcqRel);
+            self.publish_len(&buckets, self.len_locked(&buckets) + n);
         }
         // The drained transfer shell goes back to the pool for the next
         // bulk steal (lock released first; recycling needs no segment
@@ -201,14 +240,16 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
 
     fn remove_any(&self) -> Option<(K, V)> {
         let mut buckets = self.buckets.lock();
-        // First *non-empty* key in order: deterministic; empty buckets are
+        // The smallest *non-empty* key: deterministic; empty buckets are
         // resident capacity, not occupancy.
-        let (key, bucket) = buckets.map.iter_mut().find(|(_, bucket)| !bucket.is_empty())?;
-        let value = bucket.pop().expect("bucket observed non-empty");
-        let key = key.clone();
-        let emptied = bucket.is_empty();
+        let Buckets { map, keys, .. } = &mut *buckets;
+        let (key, value, emptied) = keys.iter().find_map(|key| {
+            let bucket = map.get_mut(key).expect("every ordered key has a bucket");
+            let value = bucket.pop()?;
+            Some((key.clone(), value, bucket.is_empty()))
+        })?;
         buckets.settle_emptied(&key, emptied);
-        self.len.fetch_sub(1, Ordering::AcqRel);
+        self.publish_len(&buckets, self.len_locked(&buckets) - 1);
         Some((key, value))
     }
 
@@ -218,7 +259,7 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         let value = bucket.pop()?;
         let emptied = bucket.is_empty();
         buckets.settle_emptied(key, emptied);
-        self.len.fetch_sub(1, Ordering::AcqRel);
+        self.publish_len(&buckets, self.len_locked(&buckets) - 1);
         Some(value)
     }
 
@@ -247,7 +288,7 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         stolen.extend(bucket.drain(at..));
         let emptied = bucket.is_empty();
         buckets.settle_emptied(key, emptied);
-        self.len.fetch_sub(take, Ordering::AcqRel);
+        self.publish_len(buckets, self.len_locked(buckets) - take);
         Some(stolen)
     }
 
@@ -259,7 +300,8 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
     }
 
     /// Steals ⌈b/2⌉ of the largest non-empty bucket (ties: smallest key),
-    /// returning the key alongside the elements.
+    /// returning the key alongside the elements. The tie-break orders every
+    /// bucket, so the victim does not depend on the map's hash order.
     fn steal_half_largest(&self, shells: &FreeList<Vec<V>>) -> Option<(K, Vec<V>)> {
         let mut buckets = self.buckets.lock();
         let key = buckets
@@ -288,10 +330,10 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         // Counted before the lock is released: a remover that takes one
         // first would otherwise wrap `len` below zero, and blocked removers
         // would spin their lap budget away on the phantom occupancy.
-        self.len.fetch_add(n, Ordering::AcqRel);
+        self.publish_len(&buckets, self.len_locked(&buckets) + n);
     }
 
-    /// Removes up to `n` elements (first keys first, deterministically)
+    /// Removes up to `n` elements (smallest keys first, deterministically)
     /// under one lock acquisition.
     fn remove_up_to(&self, n: usize) -> Vec<(K, V)> {
         if n == 0 {
@@ -300,7 +342,9 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         let mut buckets = self.buckets.lock();
         let mut out = Vec::new();
         let mut newly_empty = 0;
-        'keys: for (key, bucket) in buckets.map.iter_mut() {
+        let Buckets { map, keys, .. } = &mut *buckets;
+        'keys: for key in keys.iter() {
+            let bucket = map.get_mut(key).expect("every ordered key has a bucket");
             let had_elements = !bucket.is_empty();
             while let Some(value) = bucket.pop() {
                 out.push((key.clone(), value));
@@ -317,38 +361,42 @@ impl<K: Key, V: Send + 'static> KeyedSegment<K, V> {
         }
         buckets.empties += newly_empty;
         if buckets.empties > buckets.resident_max {
-            // Evict only the excess above the bound, matching the per-op
-            // policy in `settle_emptied` — a batched remove must not purge
-            // every busy key's retained capacity in one sweep.
+            // Evict only the excess above the bound, smallest keys first,
+            // matching the per-op policy in `settle_emptied` — a batched
+            // remove must not purge every busy key's retained capacity in
+            // one sweep.
             let mut excess = buckets.empties - buckets.resident_max;
-            let mut evicted = 0;
-            buckets.map.retain(|_, bucket| {
-                if excess > 0 && bucket.is_empty() {
+            buckets.empties = buckets.resident_max;
+            let Buckets { map, keys, evictions, .. } = &mut *buckets;
+            keys.retain(|key| {
+                if excess > 0 && map[key].is_empty() {
+                    map.remove(key);
                     excess -= 1;
-                    evicted += 1;
+                    *evictions += 1;
                     false
                 } else {
                     true
                 }
             });
-            buckets.evictions += evicted;
-            buckets.empties = buckets.resident_max;
         }
-        self.len.fetch_sub(out.len(), Ordering::AcqRel);
+        self.publish_len(&buckets, self.len_locked(&buckets) - out.len());
         out
     }
 
-    /// Removes every element under one lock acquisition. This is the one
-    /// operation that also evicts the resident buckets (and their retained
-    /// capacity): a drain is a teardown, not steady-state traffic.
+    /// Removes every element under one lock acquisition, in key order. This
+    /// is the one operation that also evicts the resident buckets (and
+    /// their retained capacity): a drain is a teardown, not steady-state
+    /// traffic.
     fn drain_all(&self) -> Vec<(K, V)> {
         let mut buckets = self.buckets.lock();
+        let mut map = std::mem::take(&mut buckets.map);
         let mut out = Vec::new();
-        for (key, values) in std::mem::take(&mut buckets.map) {
+        for key in std::mem::take(&mut buckets.keys) {
+            let values = map.remove(&key).expect("every ordered key has a bucket");
             out.extend(values.into_iter().map(|v| (key.clone(), v)));
         }
         buckets.empties = 0;
-        self.len.fetch_sub(out.len(), Ordering::AcqRel);
+        self.publish_len(&buckets, 0);
         out
     }
 
@@ -1665,6 +1713,20 @@ mod tests {
         let (key, _) = a.try_remove_any().expect("elements exist");
         assert_eq!(key, 2, "the largest bucket is the steal victim");
         assert_eq!(a.stats().elements_stolen, 5, "ceil(9/2)");
+
+        // Equal buckets, the larger keys added first: the tie goes to the
+        // smallest key, whatever order the buckets were created or hashed in.
+        let pool: KeyedPool<u8, u32> = KeyedPool::new(2);
+        let mut a = pool.register();
+        let mut b = pool.register();
+        for key in [200, 9, 3, 77] {
+            for i in 0..4 {
+                b.add(key, i);
+            }
+        }
+        let (key, _) = a.try_remove_any().expect("elements exist");
+        assert_eq!(key, 3, "ties go to the smallest key");
+        assert_eq!(a.stats().elements_stolen, 2, "ceil(4/2)");
     }
 
     #[test]
@@ -1729,6 +1791,16 @@ mod tests {
         assert_eq!(pool.total_len(), 0);
     }
 
+    /// The resident buckets of a one-segment `pool`, after checking that
+    /// the ordered key set holds exactly the map's keys.
+    fn resident_buckets<V>(pool: &KeyedPool<u32, V>) -> usize {
+        let buckets = pool.shared.segments[0].buckets.lock();
+        let mut mapped: Vec<&u32> = buckets.map.keys().collect();
+        mapped.sort_unstable();
+        assert!(buckets.keys.iter().eq(mapped), "the key set and the map disagree");
+        buckets.map.len()
+    }
+
     #[test]
     fn ephemeral_keys_do_not_accumulate_resident_buckets() {
         // One key per "task": beyond the residency bound, drained buckets
@@ -1740,7 +1812,7 @@ mod tests {
             h.add(key, key);
             assert_eq!(h.try_remove_key(&key), Ok(key));
         }
-        let resident = pool.shared.segments[0].buckets.lock().map.len();
+        let resident = resident_buckets(&pool);
         assert!(
             resident <= RESIDENT_BUCKETS_MAX + 1,
             "drained ephemeral buckets must be evicted, found {resident} resident"
@@ -1770,7 +1842,7 @@ mod tests {
                 assert_eq!(h.try_remove_key(&key), Ok(round));
             }
         }
-        let resident = pool.shared.segments[0].buckets.lock().map.len();
+        let resident = resident_buckets(&pool);
         assert_eq!(
             resident as u32,
             pinned + hot,
@@ -1968,7 +2040,7 @@ mod tests {
             h.add(key, key);
             assert_eq!(h.try_remove_key(&key), Ok(key));
         }
-        let resident = pool.shared.segments[0].buckets.lock().map.len();
+        let resident = resident_buckets(&pool);
         assert!(resident <= bound + 1, "bound {bound} not honored: {resident} resident");
         let stats = pool.stats();
         assert!(

@@ -197,16 +197,24 @@ fn lf_segment_steady_state_churn_allocates_nothing() {
     );
 }
 
+/// Keys one keyed round cycles: enough to grow each segment's bucket table
+/// and ordered key set past a single entry, fewer than the 64 empty buckets
+/// a segment keeps resident, so no bucket is evicted.
+const KEYS: u8 = 48;
+
+/// One steady-state round on the keyed pool: the [`pool_round`] cycle once
+/// per key, so the thief steals half of every key's bucket.
 fn keyed_round(thief: &mut cpool::KeyedHandle<u8, u64>, victim: &mut cpool::KeyedHandle<u8, u64>) {
-    const KEY: u8 = 7;
-    for i in 0..PER_ROUND {
-        victim.add(KEY, i);
-    }
-    for _ in 0..PER_ROUND / 2 {
-        thief.try_remove_key(&KEY).expect("victim produced this round");
-    }
-    for _ in 0..PER_ROUND / 2 {
-        victim.try_remove_key(&KEY).expect("residue is local");
+    for key in 0..KEYS {
+        for i in 0..PER_ROUND {
+            victim.add(key, i);
+        }
+        for _ in 0..PER_ROUND / 2 {
+            thief.try_remove_key(&key).expect("victim produced this round");
+        }
+        for _ in 0..PER_ROUND / 2 {
+            victim.try_remove_key(&key).expect("residue is local");
+        }
     }
 }
 
@@ -253,8 +261,8 @@ fn steady_state_steal_paths_allocate_nothing() {
     assert_eq!(hits, 0, "lone-element block steal cycle must not allocate");
 
     // Frontend 2: the keyed pool — keyed steals fill recycled shells and
-    // emptied buckets stay resident, so bucket capacity and map nodes are
-    // reused across rounds.
+    // emptied buckets stay resident, so bucket capacity, hash-table entries
+    // and the ordered key set are reused across rounds.
     let pool: KeyedPool<u8, u64> = KeyedPool::new(2);
     let mut thief = pool.register();
     let mut victim = pool.register();
@@ -267,9 +275,12 @@ fn steady_state_steal_paths_allocate_nothing() {
             keyed_round(&mut thief, &mut victim);
         }
     });
-    assert!(thief.stats().steals >= (WARMUP_ROUNDS + MEASURED_ROUNDS) as u64);
+    let rounds = (WARMUP_ROUNDS + MEASURED_ROUNDS) as u64;
+    assert!(thief.stats().steals >= rounds * u64::from(KEYS), "keyed: every key was stolen");
+    assert_eq!(pool.stats().pool.bucket_evictions, 0, "keyed: every bucket stayed resident");
     assert_eq!(
         hits, 0,
-        "KeyedPool: steady-state keyed add/steal/refill/remove cycle must not allocate"
+        "KeyedPool: steady-state keyed add/steal/refill/remove cycle over {KEYS} keys must not \
+         allocate"
     );
 }

@@ -1,11 +1,11 @@
 //! Property-based tests for the keyed pool (distinguishable elements):
 //! arbitrary keyed scripts against a multimap model.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use cpool::{KeyedPool, RemoveError};
+use cpool::{KeyedPool, KeyedPoolBuilder, RemoveError};
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -14,75 +14,121 @@ enum Op {
     RemoveAny,
 }
 
-fn script() -> impl Strategy<Value = Vec<Op>> {
+/// The most empty buckets a segment keeps resident in these scripts.
+const RESIDENT_MAX: usize = 64;
+
+/// Up to `max_len` operations over the keys `0..keys`.
+fn script(keys: u8, max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            ((0u8..5), (0u16..1000)).prop_map(|(k, v)| Op::Add(k, v)),
-            (0u8..5).prop_map(Op::RemoveKey),
+            ((0..keys), (0u16..1000)).prop_map(|(k, v)| Op::Add(k, v)),
+            (0..keys).prop_map(Op::RemoveKey),
             Just(Op::RemoveAny),
         ],
-        0..250,
+        0..max_len,
     )
+}
+
+/// A script over 200 keys that starts by adding and removing each of its
+/// first `churn` keys once. Past `RESIDENT_MAX` churned keys the prefix
+/// evicts buckets, and the random ops after it recreate them.
+fn wide_script() -> impl Strategy<Value = Vec<Op>> {
+    (0u8..200, script(200, 600)).prop_map(|(churn, ops)| {
+        (0..churn).flat_map(|k| [Op::Add(k, u16::from(k)), Op::RemoveKey(k)]).chain(ops).collect()
+    })
+}
+
+/// Plays `ops` on a lone handle against a multimap model. Keyed removes
+/// return values of the requested key, any-key removes the smallest key,
+/// totals and per-key counts track the model at every step, and buckets
+/// are evicted exactly when the residency bound requires it.
+fn check_multimap(ops: &[Op], segs: usize) -> Result<(), TestCaseError> {
+    let pool: KeyedPool<u8, u16> =
+        KeyedPoolBuilder::new(segs).resident_buckets_max(RESIDENT_MAX).build();
+    let mut h = pool.register();
+    let mut model: BTreeMap<u8, Vec<u16>> = BTreeMap::new();
+    let mut model_len = 0usize;
+    // Keys the script emptied that are still empty. Until the first
+    // eviction they are exactly the home segment's resident empty buckets,
+    // so the first eviction comes when this set outgrows the bound.
+    let mut emptied: BTreeSet<u8> = BTreeSet::new();
+    let mut must_evict = false;
+
+    for op in ops {
+        match op {
+            Op::Add(k, v) => {
+                h.add(*k, *v);
+                model.entry(*k).or_default().push(*v);
+                model_len += 1;
+                emptied.remove(k);
+            }
+            Op::RemoveKey(k) => {
+                if model.contains_key(k) {
+                    let v = h.try_remove_key(k).expect("key present");
+                    remove_from_model(&mut model, &mut emptied, *k, v)?;
+                    model_len -= 1;
+                } else {
+                    // A lone process aborts once its lap finds nothing.
+                    prop_assert_eq!(h.try_remove_key(k), Err(RemoveError::Aborted));
+                }
+            }
+            Op::RemoveAny => {
+                if model_len == 0 {
+                    prop_assert_eq!(h.try_remove_any(), Err(RemoveError::Aborted));
+                } else {
+                    let (k, v) = h.try_remove_any().expect("pool non-empty");
+                    // A lone handle keeps every element at home, where
+                    // any-key removes go in key order.
+                    prop_assert_eq!(Some(&k), model.keys().next(), "not the smallest key");
+                    remove_from_model(&mut model, &mut emptied, k, v)?;
+                    model_len -= 1;
+                }
+            }
+        }
+        must_evict |= emptied.len() > RESIDENT_MAX;
+        prop_assert_eq!(pool.total_len(), model_len);
+        for (k, bucket) in &model {
+            prop_assert_eq!(pool.key_len(k), bucket.len(), "key {}", k);
+        }
+    }
+    prop_assert_eq!(pool.stats().pool.bucket_evictions > 0, must_evict, "evictions");
+    Ok(())
+}
+
+/// Takes `v` out of the model's `k` bucket, dropping the bucket and
+/// recording `k` as emptied when that was its last value.
+fn remove_from_model(
+    model: &mut BTreeMap<u8, Vec<u16>>,
+    emptied: &mut BTreeSet<u8>,
+    k: u8,
+    v: u16,
+) -> Result<(), TestCaseError> {
+    let bucket = model.get_mut(&k).expect("model has key");
+    let at = bucket.iter().position(|&m| m == v);
+    prop_assert!(at.is_some(), "value {} does not belong to key {}", v, k);
+    bucket.swap_remove(at.expect("checked"));
+    if bucket.is_empty() {
+        model.remove(&k);
+        emptied.insert(k);
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Single process: the keyed pool behaves exactly like a multimap.
-    /// Keyed removes return values of the requested key; totals and per-key
-    /// counts track the model at every step.
     #[test]
-    fn keyed_pool_is_a_multimap(ops in script(), segs in 1usize..7) {
-        let pool: KeyedPool<u8, u16> = KeyedPool::new(segs);
-        let mut h = pool.register();
-        let mut model: BTreeMap<u8, Vec<u16>> = BTreeMap::new();
-        let mut model_len = 0usize;
+    fn keyed_pool_is_a_multimap(ops in script(5, 250), segs in 1usize..7) {
+        check_multimap(&ops, segs)?;
+    }
 
-        for op in &ops {
-            match op {
-                Op::Add(k, v) => {
-                    h.add(*k, *v);
-                    model.entry(*k).or_default().push(*v);
-                    model_len += 1;
-                }
-                Op::RemoveKey(k) => {
-                    let bucket_len = model.get(k).map_or(0, Vec::len);
-                    if bucket_len == 0 {
-                        // A lone process aborts once its lap finds nothing.
-                        prop_assert_eq!(h.try_remove_key(k), Err(RemoveError::Aborted));
-                    } else {
-                        let v = h.try_remove_key(k).expect("key present");
-                        let bucket = model.get_mut(k).expect("model has key");
-                        let at = bucket.iter().position(|&m| m == v)
-                            .expect("returned value belongs to the key");
-                        bucket.swap_remove(at);
-                        if bucket.is_empty() {
-                            model.remove(k);
-                        }
-                        model_len -= 1;
-                    }
-                }
-                Op::RemoveAny => {
-                    if model_len == 0 {
-                        prop_assert_eq!(h.try_remove_any(), Err(RemoveError::Aborted));
-                    } else {
-                        let (k, v) = h.try_remove_any().expect("pool non-empty");
-                        let bucket = model.get_mut(&k).expect("model has key");
-                        let at = bucket.iter().position(|&m| m == v)
-                            .expect("returned value belongs to the key");
-                        bucket.swap_remove(at);
-                        if bucket.is_empty() {
-                            model.remove(&k);
-                        }
-                        model_len -= 1;
-                    }
-                }
-            }
-            prop_assert_eq!(pool.total_len(), model_len);
-            for (k, bucket) in &model {
-                prop_assert_eq!(pool.key_len(k), bucket.len(), "key {}", k);
-            }
-        }
+    /// The same over 200 keys and up to ~1,000 operations: buckets are
+    /// evicted and recreated mid-script, and any-key removes still go in key
+    /// order past resident empty buckets.
+    #[test]
+    fn wide_keyed_scripts_evict_and_recreate_buckets(ops in wide_script(), segs in 1usize..4) {
+        check_multimap(&ops, segs)?;
     }
 
     /// Keyed steals never cross keys: with values encoding their key, every
@@ -113,7 +159,7 @@ proptest! {
 
     /// Statistics identities hold for arbitrary keyed usage.
     #[test]
-    fn keyed_stats_identities(ops in script()) {
+    fn keyed_stats_identities(ops in script(5, 250)) {
         let pool: KeyedPool<u8, u16> = KeyedPool::new(4);
         {
             let mut h = pool.register();

@@ -18,7 +18,7 @@ use std::thread;
 
 use concurrent_pools::cpool::{KeyedPool, RemoveError};
 
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 enum Resource {
     CpuSlot,
     GpuSlot,
