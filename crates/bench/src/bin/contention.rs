@@ -2,10 +2,9 @@
 //! retired mutex-shim design, and the whole pool across threads × segments
 //! × workload mix × segment representation.
 //!
-//! The criterion twin (`benches/contention.rs`) gives statistically careful
-//! numbers; this binary exists so the comparison can be pinned in version
-//! control (`BENCH_contention.json` at the repo root) and smoke-run by CI.
-//! Both measure the same kernels, shared through [`bench::contention`].
+//! This binary pins the comparison in version control
+//! (`BENCH_contention.json` at the repo root) and is smoke-run by CI. Its
+//! kernels live in [`bench::contention`].
 //!
 //! ```sh
 //! cargo run --release -p bench --bin contention                      # print JSON
@@ -21,13 +20,11 @@
 //!   production `cpool::transfer::FreeList` (riding on the bounded ring);
 //!   `treiber_stack`, `seg_queue`, and `array_queue` are the hand-rolled
 //!   lock-free structures themselves.
-//! * `pool/<seg>/<mix>/t<threads>x s<segments>` — ns per operation through
-//!   the full add/remove/steal machinery, for every element segment:
-//!   `vec` (mutex deque), `block` (mutex block chain), `lf` (fully
-//!   lock-free), `lane4` (4 sharded lanes over vec deques).
+//! * `pool/<seg>/<mix>/t<threads>s<segments>` — ns per operation through
+//!   the full add/remove/steal machinery, for both element segments:
+//!   `vec` (mutex deque) and `block` (mutex block chain).
 //!
-//! Plus two focused rows: `lane_sweep/k<K>/<mix>/t4s4` (lane-count sweep
-//! at the paper's per-processor shape) and `churn/<seg>/steal_half` (a
+//! Plus one focused row per element segment: `churn/<seg>/steal_half` (a
 //! thief racing a producer on one segment — ns per steal cycle).
 //!
 //! The JSON header records `host_cpus`, `measured_parallel`, `commit` and
@@ -35,12 +32,12 @@
 //! cells measure time-sliced interleaving, and a stderr banner says so.
 
 use bench::contention::{
-    bag_round, best_of, pool_round_block, pool_round_lane, pool_round_lane_k, pool_round_lf,
-    pool_round_vec, steal_churn_round, Bag, MutexQueue, LANE_COUNTS, MIXES, THREAD_MATRIX,
+    bag_round, best_of, pool_round_block, pool_round_vec, steal_churn_round, Bag, MutexQueue,
+    MIXES, THREAD_MATRIX,
 };
 use bench::host;
 use cpool::transfer::FreeList;
-use cpool::{BlockSegment, LaneSegment, LfSegment, VecSegment};
+use cpool::{BlockSegment, VecSegment};
 use crossbeam_queue::{ArrayQueue, SegQueue, Stack};
 use harness::cli::Args;
 
@@ -78,18 +75,14 @@ fn main() {
     // Pool matrix: threads × segments × workload mix × element segment.
     // The segments axis takes the paper's per-processor shape (segments ==
     // threads) and the worst case (one segment shared by everyone). The
-    // four segment representations are *interleaved* within each cell
-    // config — round-robin across the repeat floors — so all four sample
-    // the same slice of host time; measuring each segment's repeats
+    // two segment representations are *interleaved* within each cell
+    // config — round-robin across the repeat floors — so both sample the
+    // same slice of host time; measuring each segment's repeats
     // back-to-back lets background-load drift masquerade as a segment
     // difference.
     type PoolKernel = fn(usize, usize, f64, u64) -> f64;
-    const POOL_KERNELS: [(&str, PoolKernel); 4] = [
-        ("vec", pool_round_vec),
-        ("block", pool_round_block),
-        ("lf", pool_round_lf),
-        ("lane4", pool_round_lane),
-    ];
+    const POOL_KERNELS: [(&str, PoolKernel); 2] =
+        [("vec", pool_round_vec), ("block", pool_round_block)];
     for &t in &threads {
         for segments in [1, t] {
             if segments == t && t == 1 {
@@ -109,29 +102,13 @@ fn main() {
         }
     }
 
-    // Lane-count sweep: K lanes per segment at the paper's per-processor
-    // shape (4 threads, 4 segments), both mixes. K = 1 prices the adapter
-    // itself; rising K trades per-lane occupancy for collision avoidance.
-    if threads.contains(&4) {
-        for k in LANE_COUNTS {
-            for (mix_name, add_fraction) in MIXES {
-                let ns = best_of(repeat, || pool_round_lane_k(k, 4, 4, add_fraction, pool_ops));
-                cell(&mut results, format!("lane_sweep/k{k}/{mix_name}/t4s4"), ns);
-            }
-        }
-    }
-
     // steal_half under churn: thief vs producer colliding on one segment,
-    // every element-segment representation. ns per thief steal cycle.
+    // both element-segment representations. ns per thief steal cycle.
     let churn_ops = pool_ops;
     let ns = best_of(repeat, || steal_churn_round::<VecSegment<u64>>(churn_ops));
     cell(&mut results, "churn/vec/steal_half".to_string(), ns);
     let ns = best_of(repeat, || steal_churn_round::<BlockSegment<u64>>(churn_ops));
     cell(&mut results, "churn/block/steal_half".to_string(), ns);
-    let ns = best_of(repeat, || steal_churn_round::<LfSegment<u64>>(churn_ops));
-    cell(&mut results, "churn/lf/steal_half".to_string(), ns);
-    let ns = best_of(repeat, || steal_churn_round::<LaneSegment<VecSegment<u64>, 4>>(churn_ops));
-    cell(&mut results, "churn/lane4/steal_half".to_string(), ns);
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"contention\",\n");

@@ -1,10 +1,9 @@
 //! Hot-path dispatch baseline: generic `NullTiming` vs the `Arc<dyn Timing>`
 //! adapter, as a plain timed loop that emits machine-readable JSON.
 //!
-//! The criterion twin (`benches/hotpath.rs`) gives statistically careful
-//! numbers; this binary exists so the comparison can be pinned in version
-//! control (`BENCH_hotpath.json` at the repo root) and smoke-run by CI.
-//! Both measure the same loops, shared through [`bench::hotpath`].
+//! This binary pins the comparison in version control (`BENCH_hotpath.json`
+//! at the repo root) and is smoke-run by CI. Its kernels live in
+//! [`bench::hotpath`].
 //!
 //! ```sh
 //! cargo run --release -p bench --bin hotpath                       # print JSON
@@ -18,10 +17,10 @@ use std::time::Instant;
 use bench::host;
 use bench::hotpath::{
     add_remove_op, async_drive_median_ns, batch_roundtrip_op, block_pool_with, bursty_op,
-    filled_block_segment, filled_vec_segment, lane_pool_with, lf_pool_with, magazine_pool_with,
-    per_element_roundtrip_op, pool_with, steal_op, steal_reserve_op, transfer_elements,
-    transfer_op, AsyncHandoff, Handoff, ASYNC_DRIVE_SIZES, BATCH_SIZES, MAGAZINE_DEPTHS,
-    RESERVE_SIZES, TRANSFER_BLOCK_SIZES, TRANSFER_OCCUPANCIES,
+    filled_block_segment, filled_vec_segment, magazine_pool_with, per_element_roundtrip_op,
+    pool_with, steal_op, steal_reserve_op, transfer_elements, transfer_op, AsyncHandoff, Handoff,
+    ASYNC_DRIVE_SIZES, BATCH_SIZES, MAGAZINE_DEPTHS, RESERVE_SIZES, TRANSFER_BLOCK_SIZES,
+    TRANSFER_OCCUPANCIES,
 };
 use cpool::{DynTiming, NullTiming, WaitStrategy};
 use harness::cli::Args;
@@ -74,25 +73,6 @@ fn main() {
         let pool = block_pool_with(2, NullTiming::new());
         measure(iters, steal_op(&pool))
     };
-    // The same two hot paths over the new segment internals: the fully
-    // lock-free segment (CAS-reserved occupancy over a lock-free queue)
-    // and the sharded-lane segment (4 affinity-routed mutex lanes).
-    let lf_add = {
-        let pool = lf_pool_with(1, NullTiming::new());
-        measure(iters, add_remove_op(&pool))
-    };
-    let lf_steal = {
-        let pool = lf_pool_with(2, NullTiming::new());
-        measure(iters, steal_op(&pool))
-    };
-    let lane_add = {
-        let pool = lane_pool_with(1, NullTiming::new());
-        measure(iters, add_remove_op(&pool))
-    };
-    let lane_steal = {
-        let pool = lane_pool_with(2, NullTiming::new());
-        measure(iters, steal_op(&pool))
-    };
 
     // Batched vs per-element element traffic (generic NullTiming pool, one
     // segment): both move `batch` elements per iteration; the number
@@ -103,10 +83,6 @@ fn main() {
         ("steal/generic".to_string(), generic_steal),
         ("steal/dyn".to_string(), dyn_steal),
         ("steal_block/generic".to_string(), block_steal),
-        ("add_remove_lf/generic".to_string(), lf_add),
-        ("steal_lf/generic".to_string(), lf_steal),
-        ("add_remove_lane4/generic".to_string(), lane_add),
-        ("steal_lane4/generic".to_string(), lane_steal),
     ];
     // Handle-local magazine caches: the same uncontended add→remove pair
     // as `add_remove/generic`, but the pool gives each handle a

@@ -27,12 +27,10 @@ use harness::cli::Args;
 use harness::csv::{experiments_dir, write_csv};
 use harness::figures::Scale;
 
-/// Shared measurement kernels for the hot-path dispatch comparison.
+/// Measurement kernels for the hot-path dispatch comparison.
 ///
-/// The criterion bench (`benches/hotpath.rs`) and the JSON-emitting binary
-/// (`src/bin/hotpath.rs`) must measure literally the same code, or the
-/// committed `BENCH_hotpath.json` baseline and the criterion numbers drift
-/// apart — so both build their loops from these functions.
+/// The JSON-emitting binary (`src/bin/hotpath.rs`) builds its loops from
+/// these functions and commits their costs as `BENCH_hotpath.json`.
 pub mod hotpath {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -41,11 +39,11 @@ pub mod hotpath {
 
     use cpool::future::exec::{block_on, Fleet};
     use cpool::{
-        BlockSegment, Handle, LaneSegment, LfSegment, LinearSearch, Pool, PoolBuilder, PoolOps,
-        RemoveError, Segment, Timing, VecSegment, WaitStrategy,
+        BlockSegment, Handle, LinearSearch, Pool, PoolBuilder, PoolOps, RemoveError, Segment,
+        Timing, VecSegment, WaitStrategy,
     };
 
-    /// The pool configuration both hot-path benchmarks measure.
+    /// The pool configuration the hot-path benchmark measures.
     pub type HotPool<T> = Pool<VecSegment<u64>, LinearSearch, T>;
 
     /// The block-organized twin: same protocol, transfers move whole block
@@ -69,24 +67,6 @@ pub mod hotpath {
 
     /// Builds the block-segment twin of [`pool_with`].
     pub fn block_pool_with<T: Timing>(segments: usize, timing: T) -> BlockHotPool<T> {
-        PoolBuilder::new(segments).seed(1).timing(timing).build()
-    }
-
-    /// Builds the fully lock-free twin of [`pool_with`]: same protocol,
-    /// segments answer from CAS-reserved occupancy over a lock-free queue.
-    pub fn lf_pool_with<T: Timing>(
-        segments: usize,
-        timing: T,
-    ) -> Pool<LfSegment<u64>, LinearSearch, T> {
-        PoolBuilder::new(segments).seed(1).timing(timing).build()
-    }
-
-    /// Builds the sharded-lane twin of [`pool_with`] (`K = 4` mutex lanes
-    /// per segment, affinity-routed).
-    pub fn lane_pool_with<T: Timing>(
-        segments: usize,
-        timing: T,
-    ) -> Pool<LaneSegment<VecSegment<u64>, 4>, LinearSearch, T> {
         PoolBuilder::new(segments).seed(1).timing(timing).build()
     }
 
@@ -455,12 +435,11 @@ pub mod hotpath {
     }
 }
 
-/// Shared measurement kernels for the multi-threaded contention matrix.
+/// Measurement kernels for the multi-threaded contention matrix.
 ///
-/// The criterion bench (`benches/contention.rs`) and the JSON-emitting
-/// binary (`src/bin/contention.rs`) share these so the committed
-/// `BENCH_contention.json` baseline and the criterion numbers measure the
-/// same code. Two matrices:
+/// The JSON-emitting binary (`src/bin/contention.rs`) builds its cells from
+/// these functions and commits their costs as `BENCH_contention.json`. Two
+/// matrices:
 ///
 /// * **Primitive matrix** — real threads hammering one shared container
 ///   with push+pop pairs: the retired mutex-shim design
@@ -479,8 +458,7 @@ pub mod contention {
 
     use cpool::transfer::FreeList;
     use cpool::{
-        BlockSegment, LaneSegment, LfSegment, LinearSearch, Pool, PoolBuilder, Segment,
-        TransferBatch, VecSegment,
+        BlockSegment, LinearSearch, Pool, PoolBuilder, Segment, TransferBatch, VecSegment,
     };
     use crossbeam_queue::{ArrayQueue, SegQueue, Stack};
     use parking_lot::Mutex;
@@ -686,54 +664,6 @@ pub mod contention {
         pool_round::<BlockSegment<u64>>(threads, segments, add_fraction, ops)
     }
 
-    /// The pool matrix's fully lock-free segment cell.
-    pub fn pool_round_lf(threads: usize, segments: usize, add_fraction: f64, ops: u64) -> f64 {
-        pool_round::<LfSegment<u64>>(threads, segments, add_fraction, ops)
-    }
-
-    /// The pool matrix's sharded-lane cell at the default lane count
-    /// (`K = 4` mutex lanes over vec deques).
-    pub fn pool_round_lane(threads: usize, segments: usize, add_fraction: f64, ops: u64) -> f64 {
-        pool_round::<LaneSegment<VecSegment<u64>, 4>>(threads, segments, add_fraction, ops)
-    }
-
-    /// Lane counts the `LaneSegment` sweep measures (`K = 1` is the
-    /// degenerate single-lane case — pure adapter overhead over the inner
-    /// mutex segment).
-    pub const LANE_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-    /// The lane sweep's cell: [`pool_round`] over
-    /// `LaneSegment<VecSegment<u64>, K>` for a runtime-chosen `K`. Lane
-    /// counts are const generics, so the sweep dispatches to one
-    /// monomorphization per entry in [`LANE_COUNTS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not in [`LANE_COUNTS`].
-    pub fn pool_round_lane_k(
-        k: usize,
-        threads: usize,
-        segments: usize,
-        add_fraction: f64,
-        ops: u64,
-    ) -> f64 {
-        match k {
-            1 => {
-                pool_round::<LaneSegment<VecSegment<u64>, 1>>(threads, segments, add_fraction, ops)
-            }
-            2 => {
-                pool_round::<LaneSegment<VecSegment<u64>, 2>>(threads, segments, add_fraction, ops)
-            }
-            4 => {
-                pool_round::<LaneSegment<VecSegment<u64>, 4>>(threads, segments, add_fraction, ops)
-            }
-            8 => {
-                pool_round::<LaneSegment<VecSegment<u64>, 8>>(threads, segments, add_fraction, ops)
-            }
-            _ => panic!("lane sweep covers K in {LANE_COUNTS:?}, not {k}"),
-        }
-    }
-
     /// Elements resident in the victim segment when the churn kernel
     /// starts; the producer's balanced mix keeps occupancy hovering here.
     pub const CHURN_PREFILL: usize = 256;
@@ -741,10 +671,10 @@ pub mod contention {
     /// `steal_half` under churn: a thief repeatedly runs the two-phase
     /// transfer (`steal_half` → `add_bulk` straight back) against **one**
     /// segment while a producer churns balanced `add`/`try_remove` traffic
-    /// on the same segment — the direct owner-vs-thief collision every
-    /// segment representation resolves differently (the mutex deque
-    /// serializes, the lock-free queue interleaves CAS reservations, the
-    /// lanes route the two parties to different shards).
+    /// on the same segment — the direct owner-vs-thief collision. Both
+    /// element segments serialize the two parties on the segment's mutex;
+    /// what differs is the work held under it (the deque moves every
+    /// element, the block chain moves whole blocks).
     ///
     /// Returns the thief's wall-clock nanoseconds per steal cycle (empty
     /// probes yield and still count: under churn an empty probe is part of

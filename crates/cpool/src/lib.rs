@@ -129,10 +129,7 @@ pub use search::{
     DynPolicy, LinearSearch, NodeStoreKind, PolicyKind, RandomSearch, SearchEnv, SearchOutcome,
     SearchPolicy, TreeSearch,
 };
-pub use segment::{
-    AtomicCounter, BlockBatch, BlockSegment, LaneSegment, LfSegment, LockedCounter, Segment,
-    VecSegment,
-};
+pub use segment::{AtomicCounter, BlockBatch, BlockSegment, LockedCounter, Segment, VecSegment};
 pub use stats::{Histogram, PoolCounters, PoolStats, ProcStats};
 pub use timing::{DynTiming, NullTiming, Resource, Timing};
 pub use trace::{TraceEvent, TraceKind, TraceRecorder};
@@ -151,9 +148,7 @@ pub mod prelude {
     pub use crate::search::{
         DynPolicy, LinearSearch, NodeStoreKind, PolicyKind, RandomSearch, TreeSearch,
     };
-    pub use crate::segment::{
-        AtomicCounter, BlockSegment, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment,
-    };
+    pub use crate::segment::{AtomicCounter, BlockSegment, LockedCounter, Segment, VecSegment};
     pub use crate::timing::{DynTiming, NullTiming, Resource, Timing};
     pub use crate::transfer::{CountBatch, TransferBatch};
 }

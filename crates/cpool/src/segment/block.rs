@@ -697,19 +697,6 @@ impl<T: Send + 'static> Segment for BlockSegment<T> {
             cache: Some(Arc::clone(&self.cache)),
         }
     }
-
-    fn batch_shell(&self) -> BlockBatch<T> {
-        // An empty batch tethered to this pool's bundle cache: blocks a
-        // lane sweep appends into it (and the spent containers a consumer
-        // leaves behind) recycle instead of dropping.
-        BlockBatch {
-            first: None,
-            rest: VecDeque::new(),
-            parked: 0,
-            len: 0,
-            cache: Some(Arc::clone(&self.cache)),
-        }
-    }
 }
 
 #[cfg(test)]

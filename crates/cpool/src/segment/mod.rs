@@ -12,15 +12,10 @@
 //!   representing them as a single counter that is atomically added to,
 //!   subtracted from, or split in half", which "minimizes the time involved
 //!   in segment operations, allowing the search time to dominate".
-//! * **Element segments** ([`VecSegment`], [`BlockSegment`],
-//!   [`LfSegment`]) store real values, for applications (the paper's
-//!   tic-tac-toe study stores game positions). [`LfSegment`] is fully
-//!   lock-free: mutations coordinate through an atomic occupancy counter
-//!   and the vendored MPMC queue, never a mutex.
-//!
-//! A third, composite shape: [`LaneSegment`] shards one logical segment
-//! across `K` inner segments ("lanes") so concurrent owners spread over
-//! independent locks instead of serializing on one.
+//! * **Element segments** ([`VecSegment`], [`BlockSegment`]) store real
+//!   values, for applications (the paper's tic-tac-toe study stores game
+//!   positions). [`VecSegment`] moves flat vectors; [`BlockSegment`] moves
+//!   whole blocks.
 //!
 //! # The steal rule
 //!
@@ -41,14 +36,10 @@
 
 mod block;
 mod counting;
-mod lane;
-mod lf;
 mod vec;
 
 pub use block::{BlockBatch, BlockSegment};
 pub use counting::{AtomicCounter, LockedCounter};
-pub use lane::LaneSegment;
-pub use lf::LfSegment;
 pub use vec::VecSegment;
 
 use crate::transfer::TransferBatch;
@@ -69,13 +60,10 @@ use crate::transfer::TransferBatch;
 /// victim — an `is_empty` answer skips the victim's lock entirely —
 /// implementations should make `len`/`is_empty` cheap and non-blocking.
 /// Every in-tree segment answers from an atomic occupancy counter for
-/// exactly this reason; how that counter relates to the elements varies
-/// by representation. For the mutex-based segments it is a *mirror*,
-/// written under the lock after each mutation. For [`LfSegment`] there is
-/// no lock to mirror: the counter is the *primary* bookkeeping — removal
-/// paths reserve elements by CAS-decrementing it before touching the
-/// backing queue — and for [`LaneSegment`] the answer is the sum of its
-/// lanes' counters. A third-party segment whose `len` takes its internal
+/// exactly this reason. For the element segments and [`LockedCounter`]
+/// that counter is a *mirror*, written under the segment's lock after
+/// each mutation; [`AtomicCounter`] has no lock, so its counter is the
+/// count itself. A third-party segment whose `len` takes its internal
 /// lock stays *correct* (the hint is re-validated by `steal_half` under
 /// the lock), it just forfeits the empty-probe fast path; one whose `len`
 /// over-reports emptiness would make probes skip real elements, which the
@@ -196,33 +184,6 @@ pub trait Segment: Send + Sync + 'static {
     /// lock once; the default loops until the segment reports empty.
     fn drain_all(&self) -> Self::Batch {
         self.remove_up_to(usize::MAX)
-    }
-
-    /// An empty batch container suitable for filling incrementally, drawn
-    /// from the segment's recycled-container cache when it keeps one.
-    ///
-    /// Composite segments ([`LaneSegment`]) sweep several inner segments
-    /// per steal; starting from one recycled shell and filling it via
-    /// [`remove_up_to_into`](Self::remove_up_to_into) keeps that sweep on
-    /// the allocation-free steady-state path (a per-lane batch would drop
-    /// each donor shell's capacity on append). The default returns
-    /// [`TransferBatch::empty`], which is always correct — a third-party
-    /// segment that ignores this hook merely forfeits shell reuse.
-    fn batch_shell(&self) -> Self::Batch {
-        Self::Batch::empty()
-    }
-
-    /// Removes up to `n` arbitrary elements, appending them to `out`.
-    ///
-    /// The sweep-side counterpart of [`remove_up_to`](Self::remove_up_to):
-    /// callers that gather one transfer from several segments pass the
-    /// same container through every call. The default routes through
-    /// `remove_up_to` and [`TransferBatch::append`]; segments with a
-    /// container cache override it to drain straight into `out` under one
-    /// lock acquisition, so no intermediate batch (and no donor capacity)
-    /// is created or lost.
-    fn remove_up_to_into(&self, n: usize, out: &mut Self::Batch) {
-        out.append(self.remove_up_to(n));
     }
 }
 
@@ -347,50 +308,6 @@ mod tests {
     #[test]
     fn block_segment_contract() {
         check_element_contract::<BlockSegment<u32>>();
-    }
-
-    #[test]
-    fn lf_segment_contract() {
-        check_element_contract::<LfSegment<u32>>();
-    }
-
-    #[test]
-    fn lane_over_vec_contract() {
-        check_element_contract::<LaneSegment<VecSegment<u32>, 4>>();
-    }
-
-    #[test]
-    fn lane_over_block_contract() {
-        check_element_contract::<LaneSegment<BlockSegment<u32>, 2>>();
-    }
-
-    #[test]
-    fn lane_over_lf_contract() {
-        check_element_contract::<LaneSegment<LfSegment<u32>, 3>>();
-    }
-
-    #[test]
-    fn lane_over_counter_contract() {
-        check_contract::<LaneSegment<LockedCounter, 2>>();
-        check_contract::<LaneSegment<AtomicCounter, 4>>();
-    }
-
-    #[test]
-    fn batch_shell_and_remove_into_defaults() {
-        // The defaulted hooks must compose for a segment that overrides
-        // neither (the counting segments): a sweep through the defaults
-        // conserves elements exactly.
-        let seg = AtomicCounter::new();
-        for _ in 0..10 {
-            seg.add(());
-        }
-        let mut out = seg.batch_shell();
-        assert!(out.is_empty());
-        seg.remove_up_to_into(4, &mut out);
-        assert_eq!(out.len(), 4);
-        seg.remove_up_to_into(100, &mut out);
-        assert_eq!(out.len(), 10, "second sweep appends, bounded by occupancy");
-        assert!(seg.is_empty());
     }
 
     #[test]

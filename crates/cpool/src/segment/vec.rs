@@ -158,24 +158,6 @@ impl<T: Send + 'static> Segment for VecSegment<T> {
         self.publish_len(&items);
         drained.into_iter().collect()
     }
-
-    fn batch_shell(&self) -> Vec<T> {
-        self.shells.take().unwrap_or_default()
-    }
-
-    fn remove_up_to_into(&self, n: usize, out: &mut Vec<T>) {
-        let mut items = self.items.lock();
-        let take = n.min(items.len());
-        if take == 0 {
-            return;
-        }
-        // Drain from the front — the cold end, like `steal_half` — straight
-        // into the caller's container under one lock acquisition: the lane
-        // sweep's per-call path, where an intermediate batch would shed the
-        // shared shell's capacity on every hop.
-        out.extend(items.drain(..take));
-        self.publish_len(&items);
-    }
 }
 
 #[cfg(test)]

@@ -19,10 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cpool::{
-    BlockSegment, KeyedPool, LaneSegment, LfSegment, LinearSearch, Pool, PoolBuilder, Segment,
-    VecSegment,
-};
+use cpool::{BlockSegment, KeyedPool, LinearSearch, Pool, PoolBuilder, Segment, VecSegment};
 
 /// Counts allocator hits (alloc + realloc) from the armed thread.
 struct CountingAlloc;
@@ -126,11 +123,12 @@ fn check_pool_frontend<S: Segment<Item = u64>>(name: &str) {
     );
 }
 
-/// The primitive under all of the pool-level guarantees above: the
-/// lock-free Treiber stack the free lists ride on keeps popped nodes on an
-/// internal spares list and reuses them for later pushes, so past the
-/// high-water mark a push/pop churn performs zero allocations — `pop`
-/// never frees, `push` only allocates when no spare exists.
+/// The vendored lock-free Treiber stack (`crossbeam_queue::Stack`, the
+/// unbounded alternative to the bounded ring the free lists ride on) keeps
+/// popped nodes on an internal spares list and reuses them for later
+/// pushes, so past the high-water mark a push/pop churn performs zero
+/// allocations — `pop` never frees, `push` only allocates when no spare
+/// exists.
 #[test]
 fn treiber_free_list_steady_state_allocates_nothing() {
     use crossbeam_queue::Stack;
@@ -158,42 +156,6 @@ fn treiber_free_list_steady_state_allocates_nothing() {
         hits, 0,
         "Stack must recycle nodes: {MEASURED_ROUNDS} rounds of {PER_ROUND} push/pop pairs \
          past the high-water mark"
-    );
-}
-
-/// The lock-free segment's backing storage in isolation: past the warmup
-/// high-water mark, add/remove churn deep enough to overflow the bounded
-/// ring fast path (256 slots) and cross several overflow-queue block
-/// boundaries draws every block from the queue's internal spare list —
-/// the `SegQueue` analogue of the Treiber-stack guarantee below, with the
-/// pre-allocated ring in front.
-#[test]
-fn lf_segment_steady_state_churn_allocates_nothing() {
-    const DEPTH: u64 = PER_ROUND * 8; // 512: past the ring, into overflow
-    let seg = LfSegment::<u64>::new();
-    // Warm past several overflow block boundaries (blocks hold 31
-    // elements; ~256 elements spill per round).
-    for round in 0..WARMUP_ROUNDS {
-        for i in 0..DEPTH {
-            seg.add(round as u64 + i);
-        }
-        for _ in 0..DEPTH {
-            seg.try_remove().expect("added this round");
-        }
-    }
-    let hits = count_allocs(|| {
-        for round in 0..MEASURED_ROUNDS {
-            for i in 0..DEPTH {
-                seg.add(round as u64 + i);
-            }
-            for _ in 0..DEPTH {
-                seg.try_remove().expect("added this round");
-            }
-        }
-    });
-    assert_eq!(
-        hits, 0,
-        "LfSegment churn past the high-water mark must recycle overflow blocks, not allocate"
     );
 }
 
@@ -228,18 +190,6 @@ fn steady_state_steal_paths_allocate_nothing() {
     // Frontend 1b: the plain pool over vec segments — the transfer vector
     // itself is a recycled shell from the family's cache.
     check_pool_frontend::<VecSegment<u64>>("Pool<VecSegment>");
-
-    // Frontend 1c: the fully lock-free segment — the backing queue
-    // recirculates its spent blocks through an internal spare list and the
-    // steal shells come from the same family cache as 1b, so going
-    // lock-free keeps the zero-allocation guarantee.
-    check_pool_frontend::<LfSegment<u64>>("Pool<LfSegment>");
-
-    // Frontend 1d: the sharded segment — the lane sweep fills one recycled
-    // shell via `remove_up_to_into` (a per-lane batch would shed the
-    // shell's capacity on every hop), and deposits land as whole batches
-    // in a single lane.
-    check_pool_frontend::<LaneSegment<VecSegment<u64>, 4>>("Pool<LaneSegment<VecSegment>>");
 
     // Lone-element steals on the block pool: with a single element stolen
     // the two-phase probe's refill leg is a pure container return, and the

@@ -9,9 +9,7 @@ use proptest::prelude::*;
 
 use cpool::segment::steal_count;
 use cpool::transfer::TransferBatch;
-use cpool::{
-    AtomicCounter, BlockSegment, LaneSegment, LfSegment, LockedCounter, Segment, VecSegment,
-};
+use cpool::{AtomicCounter, BlockSegment, LockedCounter, Segment, VecSegment};
 
 /// One step of a generated workload.
 #[derive(Clone, Copy, Debug)]
@@ -214,31 +212,6 @@ proptest! {
         check_element_model::<BlockSegment<u32>>(&script);
     }
 
-    #[test]
-    fn lf_segment_matches_model(script in steps()) {
-        check_element_model::<LfSegment<u32>>(&script);
-    }
-
-    #[test]
-    fn lane_over_vec_matches_model(script in steps()) {
-        check_element_model::<LaneSegment<VecSegment<u32>, 4>>(&script);
-    }
-
-    #[test]
-    fn lane_over_block_matches_model(script in steps()) {
-        check_element_model::<LaneSegment<BlockSegment<u32>, 2>>(&script);
-    }
-
-    #[test]
-    fn lane_over_lf_matches_model(script in steps()) {
-        check_element_model::<LaneSegment<LfSegment<u32>, 3>>(&script);
-    }
-
-    #[test]
-    fn lane_over_counter_matches_model(script in steps()) {
-        check_counting_model::<LaneSegment<AtomicCounter, 4>>(&script);
-    }
-
     // The generic steal→refill conservation property, against all the
     // segment families (counting ones model the elements as units).
 
@@ -260,21 +233,6 @@ proptest! {
     #[test]
     fn block_segment_transfer_conserves(script in steps(), seed in 0usize..64) {
         check_transfer_conservation::<BlockSegment<()>>(&script, seed);
-    }
-
-    #[test]
-    fn lf_segment_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<LfSegment<()>>(&script, seed);
-    }
-
-    #[test]
-    fn lane_over_vec_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<LaneSegment<VecSegment<()>, 4>>(&script, seed);
-    }
-
-    #[test]
-    fn lane_over_block_transfer_conserves(script in steps(), seed in 0usize..64) {
-        check_transfer_conservation::<LaneSegment<BlockSegment<()>, 2>>(&script, seed);
     }
 
     /// Element-level steal→refill multiset identity between two block
@@ -325,70 +283,6 @@ proptest! {
     #[test]
     fn concurrent_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
         let seg = VecSegment::<u32>::new();
-        for i in 0..initial {
-            seg.add(i as u32);
-        }
-        let mut batches: Vec<Vec<u32>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..thieves)
-                .map(|_| s.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let b = seg.steal_half();
-                        if b.is_empty() {
-                            break mine;
-                        }
-                        mine.extend(b);
-                    }
-                }))
-                .collect();
-            for h in handles {
-                batches.push(h.join().expect("thief panicked"));
-            }
-        });
-        let mut all: Vec<u32> = batches.into_iter().flatten().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..initial as u32).collect::<Vec<_>>());
-        prop_assert_eq!(seg.len(), 0);
-    }
-
-    /// Concurrent thieves on the lock-free segment: the CAS-reservation
-    /// split never loses or duplicates an element.
-    #[test]
-    fn concurrent_lf_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
-        let seg = LfSegment::<u32>::new();
-        for i in 0..initial {
-            seg.add(i as u32);
-        }
-        let mut batches: Vec<Vec<u32>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..thieves)
-                .map(|_| s.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let b = seg.steal_half();
-                        if b.is_empty() {
-                            break mine;
-                        }
-                        mine.extend(b);
-                    }
-                }))
-                .collect();
-            for h in handles {
-                batches.push(h.join().expect("thief panicked"));
-            }
-        });
-        let mut all: Vec<u32> = batches.into_iter().flatten().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..initial as u32).collect::<Vec<_>>());
-        prop_assert_eq!(seg.len(), 0);
-    }
-
-    /// Concurrent thieves racing across a sharded segment's lanes: the
-    /// per-lane sweeps together conserve the whole multiset.
-    #[test]
-    fn concurrent_lane_steals_conserve(initial in 1usize..400, thieves in 1usize..6) {
-        let seg = LaneSegment::<VecSegment<u32>, 4>::new();
         for i in 0..initial {
             seg.add(i as u32);
         }

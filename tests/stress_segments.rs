@@ -4,18 +4,18 @@
 //! thief fleets run the two-phase `steal_half` → `add_bulk` transfer
 //! between family members, under hard watchdog deadlines.
 //!
-//! Run for every element segment — the mutex deque, the block segment, the
-//! fully lock-free `LfSegment`, and the sharded `LaneSegment` over both —
+//! Run for both element segments — the mutex deque and the block segment —
 //! the driver asserts the two properties that survive any interleaving:
 //!
 //! * **conservation** — globally unique values, checksummed: every element
 //!   added is consumed or still resident exactly once, so loss and
-//!   duplication (an ABA'd queue block, a double-counted occupancy
-//!   reservation, a lane sweep racing a deposit) both shift the sum;
+//!   duplication (a recycled block or shell that still held elements, a
+//!   steal and an owner's remove both taking the same element) both shift
+//!   the sum;
 //! * **termination** — steals and removes keep making progress (the
-//!   watchdog turns a livelock — e.g. an occupancy reservation that can
-//!   never be honored, or a lane sweep forever skipping a "busy" lane —
-//!   into a fast failure instead of a hung CI job).
+//!   watchdog turns a deadlock — e.g. a thief still holding its victim's
+//!   lock while it deposits into another segment — into a fast failure
+//!   instead of a hung CI job).
 //!
 //! CI runs this file under `--release` behind a hard `timeout`, like the
 //! primitive stress suite: optimized codegen shrinks the race windows the
@@ -26,7 +26,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use cpool::{BlockSegment, LaneSegment, LfSegment, Segment, TransferBatch, VecSegment};
+use cpool::{BlockSegment, Segment, TransferBatch, VecSegment};
 
 /// Runs `scenario` on its own thread and panics if it does not finish
 /// within `deadline` (the lifecycle-test watchdog pattern).
@@ -138,113 +138,4 @@ fn vec_segment_fleet_conservation() {
 #[test]
 fn block_segment_fleet_conservation() {
     with_deadline(Duration::from_secs(120), segment_fleet_conservation::<BlockSegment<u64>>);
-}
-
-#[test]
-fn lf_segment_fleet_conservation() {
-    with_deadline(Duration::from_secs(120), segment_fleet_conservation::<LfSegment<u64>>);
-}
-
-#[test]
-fn lane_over_vec_fleet_conservation() {
-    with_deadline(
-        Duration::from_secs(120),
-        segment_fleet_conservation::<LaneSegment<VecSegment<u64>, 4>>,
-    );
-}
-
-#[test]
-fn lane_over_lf_fleet_conservation() {
-    with_deadline(
-        Duration::from_secs(120),
-        segment_fleet_conservation::<LaneSegment<LfSegment<u64>, 2>>,
-    );
-}
-
-#[test]
-fn lane_over_block_fleet_conservation() {
-    with_deadline(
-        Duration::from_secs(120),
-        segment_fleet_conservation::<LaneSegment<BlockSegment<u64>, 2>>,
-    );
-}
-
-/// The lane-sweep regression, concurrent edition: a producer with one fixed
-/// affinity funnels everything into a single lane while thieves whose home
-/// lanes all differ steal continuously. If the sweep (or the summed
-/// occupancy probe) could skip a lane holding real elements, the thieves
-/// would never collect the full checksum and the watchdog would fire.
-#[test]
-fn lane_sweep_never_skips_a_loaded_lane() {
-    with_deadline(Duration::from_secs(120), || {
-        let seg: LaneSegment<VecSegment<u64>, 4> = LaneSegment::new();
-        let total: u64 = (1..=50_000u64).sum();
-        let stolen = AtomicU64::new(0);
-        thread::scope(|s| {
-            let (seg, stolen) = (&seg, &stolen);
-            s.spawn(move || {
-                for v in 1..=50_000u64 {
-                    seg.add(v);
-                }
-            });
-            for _ in 0..THIEVES {
-                s.spawn(move || {
-                    // Thieves run until the full checksum is accounted for:
-                    // termination itself is the property under test.
-                    while stolen.load(Ordering::Acquire) < total {
-                        let batch = seg.steal_half();
-                        let mut sum = 0u64;
-                        for v in batch.into_vec() {
-                            sum += v;
-                        }
-                        if sum == 0 {
-                            thread::yield_now();
-                        } else {
-                            stolen.fetch_add(sum, Ordering::AcqRel);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(stolen.load(Ordering::Relaxed), total);
-        assert!(seg.is_empty());
-    });
-}
-
-/// Same regression for the lock-free segment: occupancy is the primary
-/// counter, so a counted element must always be poppable — thieves and a
-/// single remover must jointly account for every value.
-#[test]
-fn lf_occupancy_never_strands_elements() {
-    with_deadline(Duration::from_secs(120), || {
-        let seg: LfSegment<u64> = LfSegment::new();
-        let total: u64 = (1..=50_000u64).sum();
-        let taken = AtomicU64::new(0);
-        thread::scope(|s| {
-            let (seg, taken) = (&seg, &taken);
-            s.spawn(move || {
-                for v in 1..=50_000u64 {
-                    seg.add(v);
-                }
-            });
-            for t in 0..THIEVES {
-                s.spawn(move || {
-                    while taken.load(Ordering::Acquire) < total {
-                        let sum: u64 = if t == 0 {
-                            seg.try_remove().unwrap_or(0)
-                        } else {
-                            seg.steal_half().into_iter().sum()
-                        };
-                        if sum == 0 {
-                            thread::yield_now();
-                        } else {
-                            taken.fetch_add(sum, Ordering::AcqRel);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(taken.load(Ordering::Relaxed), total);
-        assert_eq!(seg.len(), 0);
-    });
 }
